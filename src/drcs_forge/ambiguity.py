@@ -8,15 +8,15 @@ are accumulated from a precomputed root table in double precision
 exact.
 
 Grids cover the open zone (-Z_x, Z_x) x (-Z_y, Z_y) on its integer
-lattice. Two evaluation paths exist: a literal per-cell sum and a
-per-shift FFT over the lag-product sequence; they are cross-checked in
-tests and by the CLI --paranoid mode.
+lattice. The fast path ("fft", the default of every scan) gathers all
+lag-product sequences of a flock pair from one L x L product and runs
+one inverse FFT over them. The reference path ("naive") sums every cell
+literally; the two are cross-checked in tests and by the CLI --paranoid
+mode.
 """
 
-import concurrent.futures
 import functools
 import math
-import os
 
 import numpy as np
 
@@ -29,15 +29,6 @@ def _roots(order):
     w = np.exp(2j * np.pi * np.arange(order) / order)
     w.setflags(write=False)
     return w
-
-
-def _thread_count():
-    raw = os.environ.get("DRCS_FORGE_THREADS", "1")
-    try:
-        k = int(raw)
-    except ValueError:
-        raise ParamsOutOfRangeError("DRCS_FORGE_THREADS must be an integer, got %r" % raw)
-    return max(1, k)
 
 
 def af_pair(a, b, r, tau, nu):
@@ -121,39 +112,18 @@ def _grid_naive(C1, C2, zone, r):
 
 
 def _grid_fft(C1, C2, zone, r):
-    """Per fixed tau, the nu line is the length-L inverse DFT of the
-    lag-product sequence g(t) = sum_m C1[m,t] * conj(C2[m,t+tau]),
-    scaled by L; nu bins are sampled mod L."""
-    M, L = C1.shape
+    """Every lag product is a diagonal of P = (w^C1)^T conj(w^C2): the
+    line at shift tau is g(t) = P[t, t + tau], zero where t + tau leaves
+    [0, L). All lines go through one inverse DFT along t, scaled by L;
+    nu bins are sampled mod L."""
+    L = C1.shape[1]
     w = _roots(r)
+    P = w[C1 % r].T @ w[C2 % r].conj()
+    t = np.arange(L)
+    u = t + np.arange(-zone.Z_x + 1, zone.Z_x)[:, None]
+    g = np.where((u >= 0) & (u < L), P[t, np.clip(u, 0, L - 1)], 0)
     nus = np.arange(-zone.Z_y + 1, zone.Z_y) % L
-    values = np.zeros((2 * zone.Z_x - 1, 2 * zone.Z_y - 1), dtype=np.complex128)
-
-    def one_tau(tau):
-        if abs(tau) >= L:
-            return None
-        g = np.zeros(L, dtype=np.complex128)
-        if tau >= 0:
-            diffs = (C1[:, : L - tau] - C2[:, tau:]) % r
-            g[: L - tau] = w[diffs].sum(axis=0)
-        else:
-            diffs = (C1[:, -tau:] - C2[:, : L + tau]) % r
-            g[-tau:] = w[diffs].sum(axis=0)
-        return (L * np.fft.ifft(g))[nus]
-
-    taus = list(range(-zone.Z_x + 1, zone.Z_x))
-    workers = _thread_count()
-    if workers == 1:
-        rows = map(one_tau, taus)
-        for tau, row in zip(taus, rows):
-            if row is not None:
-                values[tau + zone.Z_x - 1] = row
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            for tau, row in zip(taus, pool.map(one_tau, taus)):
-                if row is not None:
-                    values[tau + zone.Z_x - 1] = row
-    return values
+    return (L * np.fft.ifft(g, axis=1))[:, nus]
 
 
 def af_grid(C1, C2, zone, r, method="naive", kind="cross", pair=None):
@@ -171,24 +141,33 @@ def af_grid(C1, C2, zone, r, method="naive", kind="cross", pair=None):
     return AfGrid(values, zone, C1.shape[1], kind=kind, pair=pair)
 
 
-FFT_LENGTH_CUTOFF = 128
-
-
-def _scan_grid(grid, skip_origin):
-    """Max magnitude and its first witness in (tau, nu) lex order."""
-    mags = grid.magnitude().copy()
-    if skip_origin:
-        mags[grid.zone.Z_x - 1, grid.zone.Z_y - 1] = -1.0
-    best = float(mags.max())
-    if best < 0:
+def _scan(grids, zone, tol, skip_origin):
+    """Peak magnitude over grids given in pair order, and its witness:
+    the lex-first (pair, tau, nu) whose magnitude is within tol of the
+    peak. (None, None) when no cell is scanned."""
+    # (magnitude, pair, flat cell) of each cell that beats every lex-earlier
+    # one; the lex-first cell above any threshold is always among them
+    stairs = []
+    for g in grids:
+        mags = g.magnitude()
+        if skip_origin:
+            mags[zone.Z_x - 1, zone.Z_y - 1] = -1.0
+        mags = mags.ravel()
+        top = stairs[-1][0] if stairs else -1.0
+        prior = np.maximum.accumulate(np.concatenate(([top], mags)))[:-1]
+        stairs += [(float(mags[i]), g.pair, int(i)) for i in np.flatnonzero(mags > prior)]
+    if not stairs:
         return None, None
-    ti, ni = np.argwhere(mags == best)[0]
-    return best, (int(ti) - grid.zone.Z_x + 1, int(ni) - grid.zone.Z_y + 1)
+    peak = stairs[-1][0]
+    mag, pair, i = next(s for s in stairs if s[0] >= peak - tol)
+    ti, ni = divmod(i, 2 * zone.Z_y - 1)
+    return peak, {"pair": list(pair), "tau": ti - zone.Z_x + 1,
+                  "nu": ni - zone.Z_y + 1, "abs": mag}
 
 
 class ThetaReport:
     """Peak auto (origin excluded) and cross (origin included) magnitudes
-    with stable argmax witnesses."""
+    with stable witnesses; a witness's abs is its own cell's magnitude."""
 
     def __init__(self, theta_a, theta_c, witness_a, witness_c, zone, method):
         self.theta_a = theta_a
@@ -215,32 +194,24 @@ class ThetaReport:
         }
 
 
-def theta_max(S, zone=None, method=None):
+def theta_max(S, zone=None, method="fft"):
     """Exhaustive peak scan over all flocks, ordered pairs, and lattice
     points of the zone. Auto peaks exclude (0,0); cross peaks include
-    every cell. Ties resolve to the lexicographically first (pair, tau,
-    nu) so the witness is stable across runs and thread counts.
+    every cell. Each witness is the lexicographically first (pair, tau,
+    nu) within tol = 64*M*L*eps of its peak, so float noise cannot decide
+    a tie and both methods name the same cell.
     """
     zone = zone if zone is not None else S.zone
-    if method is None:
-        method = "naive" if S.L <= FFT_LENGTH_CUTOFF else "fft"
-    theta_a = theta_c = None
-    witness_a = witness_c = None
-    for k1 in range(S.K):
-        g = af_grid(S.flock(k1), S.flock(k1), zone, S.r, method, "auto", (k1, k1))
-        peak, cell = _scan_grid(g, skip_origin=True)
-        if peak is not None and (theta_a is None or peak > theta_a):
-            theta_a = peak
-            witness_a = {"pair": [k1, k1], "tau": cell[0], "nu": cell[1], "abs": peak}
-    for k1 in range(S.K):
-        for k2 in range(S.K):
-            if k1 == k2:
-                continue
-            g = af_grid(S.flock(k1), S.flock(k2), zone, S.r, method, "cross", (k1, k2))
-            peak, cell = _scan_grid(g, skip_origin=False)
-            if theta_c is None or peak > theta_c:
-                theta_c = peak
-                witness_c = {"pair": [k1, k2], "tau": cell[0], "nu": cell[1], "abs": peak}
+    tol = 64 * S.M * S.L * np.finfo(float).eps
+
+    def grids(pairs, kind):
+        for k1, k2 in pairs:
+            yield af_grid(S.flock(k1), S.flock(k2), zone, S.r, method, kind, (k1, k2))
+
+    autos = [(k, k) for k in range(S.K)]
+    crosses = [(k1, k2) for k1 in range(S.K) for k2 in range(S.K) if k1 != k2]
+    theta_a, witness_a = _scan(grids(autos, "auto"), zone, tol, skip_origin=True)
+    theta_c, witness_c = _scan(grids(crosses, "cross"), zone, tol, skip_origin=False)
     return ThetaReport(theta_a, theta_c, witness_a, witness_c, zone, method)
 
 

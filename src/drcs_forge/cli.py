@@ -42,8 +42,7 @@ def _dump(obj):
     return json.dumps(obj, sort_keys=True, indent=1) + "\n"
 
 
-def _emit(obj, out=None):
-    text = _dump(obj)
+def _write(text, out=None):
     if out:
         try:
             with open(out, "w") as fh:
@@ -52,6 +51,10 @@ def _emit(obj, out=None):
             raise ParseError("cannot write %s: %s" % (out, exc)) from None
     else:
         sys.stdout.write(text)
+
+
+def _emit(obj, out=None):
+    _write(_dump(obj), out)
 
 
 def _read_json(path):
@@ -130,11 +133,7 @@ def cmd_bh(args):
 
 # --- drcs ---
 
-def _default_method(L):
-    return "naive" if L <= ambiguity.FFT_LENGTH_CUTOFF else "fft"
-
-
-def _paranoid_check(S, zone, method):
+def _paranoid_check(S, zone):
     """Rerun every ordered pair through both grid paths and spot-check
     single cells against the definition-literal sum."""
     tol_grid = 1e-7 * S.M * S.L
@@ -173,16 +172,15 @@ def cmd_drcs(args):
         if args.out:
             export_drcs(S, args.out)
         else:
-            _emit(export_drcs_obj(S))
+            _emit(S.to_json())
         return 0
     if args.drcs_cmd == "eval":
         S = import_drcs(args.set)
         zone = Zone(*args.zone) if args.zone else S.zone
-        method = args.method or _default_method(S.L)
-        rep = ambiguity.theta_max(S, zone, method)
+        rep = ambiguity.theta_max(S, zone, args.method)
         out = {"theta": rep.to_json()}
         if args.paranoid:
-            _paranoid_check(S, zone, method)
+            _paranoid_check(S, zone)
             out["paranoid"] = "ok"
         try:
             out["bound"] = bounds.optimality_factor(S, rep).to_json()
@@ -199,21 +197,16 @@ def cmd_drcs(args):
         row = "%d %d %d %d %d %.4f %.4f %.4f" % (
             br.K, br.M, br.N_len, br.Z_x, br.Z_y, br.theta, br.bound, br.rho
         )
-        text = header + "\n" + row + "\n"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(header + "\n" + row + "\n", args.out)
         return 0
     if args.drcs_cmd == "grid":
         S = import_drcs(args.set)
         k1, k2 = args.pair
         if not (0 <= k1 < S.K and 0 <= k2 < S.K):
             raise ParamsOutOfRangeError("pair indices must lie in [0, %d)" % S.K)
-        method = args.method or _default_method(S.L)
         kind = "auto" if k1 == k2 else "cross"
-        g = ambiguity.af_grid(S.flock(k1), S.flock(k2), S.zone, S.r, method, kind, (k1, k2))
+        g = ambiguity.af_grid(S.flock(k1), S.flock(k2), S.zone, S.r, args.method, kind,
+                              (k1, k2))
         out = args.out
         try:
             if out.endswith(".pgm"):
@@ -231,15 +224,6 @@ def cmd_drcs(args):
             raise ParseError("cannot write %s: %s" % (out, exc)) from None
         return 0
     return 0
-
-
-def export_drcs_obj(S):
-    return {
-        "K": S.K, "M": S.M, "L": S.L, "r": S.r,
-        "flocks": S.flocks.tolist(),
-        "zone": [S.zone.Z_x, S.zone.Z_y],
-        "provenance": S.provenance,
-    }
 
 
 def cmd_pipeline(args):
@@ -322,7 +306,7 @@ def build_parser():
     d = dsub.add_parser("eval", help="peak scan plus bound comparison")
     d.add_argument("set")
     d.add_argument("--zone", nargs=2, type=int, metavar=("ZX", "ZY"))
-    d.add_argument("--method", choices=("naive", "fft"))
+    d.add_argument("--method", choices=("naive", "fft"), default="fft")
     d.add_argument("--paranoid", action="store_true")
     d.add_argument("--out")
     d = dsub.add_parser("report", help="one table-style summary row")
@@ -331,7 +315,7 @@ def build_parser():
     d = dsub.add_parser("grid", help="export one pair's ambiguity grid")
     d.add_argument("set")
     d.add_argument("--pair", nargs=2, type=int, required=True, metavar=("K1", "K2"))
-    d.add_argument("--method", choices=("naive", "fft"))
+    d.add_argument("--method", choices=("naive", "fft"), default="fft")
     d.add_argument("--matrix", action="store_true",
                    help="write the magnitude matrix instead of cell rows (.csv)")
     d.add_argument("--out", required=True)

@@ -90,6 +90,17 @@ class DrcsSet:
     def flock(self, k):
         return self.flocks[k]
 
+    def to_json(self):
+        return {
+            "K": self.K,
+            "M": self.M,
+            "L": self.L,
+            "r": self.r,
+            "flocks": self.flocks.tolist(),
+            "zone": [self.zone.Z_x, self.zone.Z_y],
+            "provenance": self.provenance,
+        }
+
 
 def build_drcs(A, B):
     """Assemble a DRCS set from rectangle A and Butson matrix B.
@@ -122,15 +133,7 @@ def build_drcs(A, B):
 
 def export_drcs(S, path):
     """Write the set losslessly as JSON; returns the written dict."""
-    obj = {
-        "K": S.K,
-        "M": S.M,
-        "L": S.L,
-        "r": S.r,
-        "flocks": S.flocks.tolist(),
-        "zone": [S.zone.Z_x, S.zone.Z_y],
-        "provenance": S.provenance,
-    }
+    obj = S.to_json()
     data = json.dumps(obj, sort_keys=True, indent=1)
     with open(path, "w") as fh:
         fh.write(data)

@@ -31,6 +31,31 @@ def test_end_to_end_pipeline(tmp_path, capsys):
     assert row.split()[:3] == ["9", "9", "8"]
 
 
+def test_build_stdout_matches_out_file(tmp_path, capsys):
+    rect = str(tmp_path / "r.json")
+    bh = str(tmp_path / "h.json")
+    sset = tmp_path / "s.json"
+    run(capsys, "rect", "circular-qfr", "3", "2", "--out", rect)
+    run(capsys, "bh", "dft", "9", "--out", bh)
+    assert run(capsys, "drcs", "build", rect, bh, "--out", str(sset))[0] == 0
+    code, out, _ = run(capsys, "drcs", "build", rect, bh)
+    assert code == 0
+    assert out.encode() == sset.read_bytes()
+
+
+def test_report_out_to_missing_dir(tmp_path, capsys):
+    rect = str(tmp_path / "r.json")
+    bh = str(tmp_path / "h.json")
+    sset = str(tmp_path / "s.json")
+    run(capsys, "rect", "circular-qfr", "3", "2", "--out", rect)
+    run(capsys, "bh", "dft", "9", "--out", bh)
+    run(capsys, "drcs", "build", rect, bh, "--out", sset)
+    code, _, err = run(capsys, "drcs", "report", sset,
+                       "--out", str(tmp_path / "missing" / "row.txt"))
+    assert code == 4
+    assert "error" in json.loads(err)
+
+
 def test_rect_verify_c2_witness(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"N": 3, "n": 3, "rows": [[0, 1, 2], [0, 1, 2]]}))
