@@ -10,9 +10,11 @@ exact.
 Grids cover the open zone (-Z_x, Z_x) x (-Z_y, Z_y) on its integer
 lattice. The fast path ("fft", the default of every scan) gathers all
 lag-product sequences of a flock pair from one L x L product and runs
-one inverse FFT over them. The reference path ("naive") sums every cell
-literally; the two are cross-checked in tests and by the CLI --paranoid
-mode.
+one inverse FFT over them. The reference path ("naive") builds each lag
+line from integer exponent differences and takes a direct DFT of the
+lines (a matrix product with the L-th root table), sharing no code with
+the fast path; the two are cross-checked in tests and by the CLI
+--paranoid mode. af_pair and af_flock evaluate single cells.
 """
 
 import functools
@@ -104,11 +106,21 @@ class AfGrid:
 
 
 def _grid_naive(C1, C2, zone, r):
-    values = np.zeros((2 * zone.Z_x - 1, 2 * zone.Z_y - 1), dtype=np.complex128)
-    for tau in range(-zone.Z_x + 1, zone.Z_x):
-        for nu in range(-zone.Z_y + 1, zone.Z_y):
-            values[tau + zone.Z_x - 1, nu + zone.Z_y - 1] = af_flock(C1, C2, tau, nu, r)
-    return values
+    """Direct DFT of the lag lines, independent of the fft path: the line
+    at shift tau is g(t) = sum_m w_r^((C1[m, t] - C2[m, t + tau]) mod r),
+    summed from integer exponent differences and zero where t + tau
+    leaves [0, L). The grid is G @ W with W[t, nu] = w_L^((nu t) mod L).
+    One tau at a time, so no temporary exceeds O(M L)."""
+    L = C1.shape[1]
+    w = _roots(r)
+    G = np.zeros((2 * zone.Z_x - 1, L), dtype=np.complex128)
+    for i, tau in enumerate(range(-zone.Z_x + 1, zone.Z_x)):
+        lo, hi = max(-tau, 0), min(L, L - tau)
+        if lo < hi:
+            G[i, lo:hi] = w[(C1[:, lo:hi] - C2[:, lo + tau : hi + tau]) % r].sum(axis=0)
+    nus = np.arange(-zone.Z_y + 1, zone.Z_y)
+    W = _roots(L)[np.outer(np.arange(L), nus) % L]
+    return G @ W
 
 
 def _grid_fft(C1, C2, zone, r):

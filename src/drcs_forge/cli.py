@@ -10,6 +10,7 @@ Errors go to stderr as one JSON object per failure.
 import argparse
 import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -227,13 +228,17 @@ def cmd_drcs(args):
 
 
 def cmd_pipeline(args):
-    """Run a list of CLI steps from a config file: {"steps": [[...], ...]}."""
+    """Run a list of CLI steps from a config file: {"steps": [[...], ...]}.
+    A config that runs itself, directly or through another, is refused."""
+    path = os.path.realpath(args.config)
+    if path in args.pipelines:
+        raise ParseError("pipeline config %s runs itself" % args.config)
     cfg = _read_json(args.config)
-    steps = cfg.get("steps")
+    steps = cfg.get("steps") if isinstance(cfg, dict) else None
     if not isinstance(steps, list) or not all(isinstance(s, list) for s in steps):
         raise ParseError("pipeline config needs a steps list of argv lists")
     for step in steps:
-        rc = main([str(x) for x in step])
+        rc = _main([str(x) for x in step], args.pipelines + (path,))
         if rc != 0:
             return rc
     return 0
@@ -330,8 +335,15 @@ _DISPATCH = {"rect": cmd_rect, "bh": cmd_bh, "drcs": cmd_drcs, "pipeline": cmd_p
 
 
 def main(argv=None):
+    return _main(argv, ())
+
+
+def _main(argv, pipelines):
+    """Run one command; pipelines holds the resolved paths of the
+    pipeline configs whose steps are running, outermost first."""
     ap = build_parser()
     args = ap.parse_args(argv)
+    args.pipelines = pipelines
     try:
         return _DISPATCH[args.cmd](args)
     except DrcsForgeError as exc:

@@ -16,9 +16,12 @@ from .errors import (
     InvariantError,
     OrderMismatchError,
     ParamsOutOfRangeError,
+    ParseError,
     RectangleClassError,
     SchemaError,
     UnitarityError,
+    json_int,
+    json_int_array,
 )
 from .hadamard import verify_bh
 from .rectangles import verify_c1, verify_c2
@@ -135,9 +138,12 @@ def export_drcs(S, path):
     """Write the set losslessly as JSON; returns the written dict."""
     obj = S.to_json()
     data = json.dumps(obj, sort_keys=True, indent=1)
-    with open(path, "w") as fh:
-        fh.write(data)
-        fh.write("\n")
+    try:
+        with open(path, "w") as fh:
+            fh.write(data)
+            fh.write("\n")
+    except OSError as exc:
+        raise ParseError("cannot write %s: %s" % (path, exc)) from None
     return obj
 
 
@@ -152,11 +158,18 @@ def import_drcs(path):
     except json.JSONDecodeError as exc:
         raise SchemaError("malformed JSON in %s: %s" % (path, exc)) from None
     try:
-        flocks = np.array(obj["flocks"], dtype=np.int64)
-        r = obj["r"]
+        flocks, r = obj["flocks"], obj["r"]
         zone = obj.get("zone")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise SchemaError("set JSON needs flocks, r: %s" % exc) from None
+    flocks = json_int_array(flocks, "flocks", SchemaError)
+    r = json_int(r, "r", SchemaError)
+    if zone:
+        if not isinstance(zone, list) or len(zone) != 2:
+            raise SchemaError("zone must be a list [Z_x, Z_y], got %r" % (zone,))
+        zone = Zone(*(json_int(z, "zone", SchemaError) for z in zone))
+    else:
+        zone = None
     if flocks.ndim != 3:
         raise SchemaError("flocks must be K x M x L, got ndim=%d" % flocks.ndim)
     declared = tuple(obj.get(k, flocks.shape[i]) for i, k in enumerate(("K", "M", "L")))
@@ -166,5 +179,4 @@ def import_drcs(path):
     if "source" not in prov:
         prov = dict(prov)
         prov["source"] = {"path": str(path), "sha256": hashlib.sha256(raw).hexdigest()}
-    S = DrcsSet(flocks, r, Zone(*zone) if zone else None, prov)
-    return S
+    return DrcsSet(flocks, r, zone, prov)

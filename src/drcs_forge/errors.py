@@ -1,8 +1,13 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the integer checks
+the JSON loaders raise them from.
 
 Each error carries an exit_code used by the CLI: 2 for validation
 failures, 3 for infeasible parameters, 4 for I/O and parsing trouble.
 """
+
+import numbers
+
+import numpy as np
 
 
 class DrcsForgeError(Exception):
@@ -98,3 +103,26 @@ class ParseError(DrcsForgeError):
 
 class SchemaError(DrcsForgeError):
     exit_code = 4
+
+
+# -- JSON field checks --
+
+def json_int(value, what, error):
+    """An integer JSON field as int; floats, strings and booleans raise
+    error instead of being cast."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error("%s must be an integer, got %r" % (what, value))
+    return int(value)
+
+
+def json_int_array(value, what, error):
+    """A nested JSON list of integers as an int64 array; any float,
+    string or ragged nesting raises error instead of being cast."""
+    msg = "%s must be a nested list of integers" % what
+    try:
+        arr = np.asarray(value)
+    except (TypeError, ValueError):  # ragged nesting
+        raise error(msg) from None
+    if arr.size and arr.dtype.kind != "i":
+        raise error(msg)
+    return arr.astype(np.int64, copy=False)

@@ -12,7 +12,14 @@ import math
 
 import numpy as np
 
-from .errors import InvariantError, ParamsOutOfRangeError, ParseError, UnitarityError
+from .errors import (
+    InvariantError,
+    ParamsOutOfRangeError,
+    ParseError,
+    UnitarityError,
+    json_int,
+    json_int_array,
+)
 from .finite_field import is_prime
 
 
@@ -63,6 +70,9 @@ class PhaseMatrix:
             N, r, exps = obj["N"], obj["r"], obj["exps"]
         except (KeyError, TypeError) as exc:
             raise ParseError("seed JSON needs N, r, exps: %s" % exc) from None
+        N = json_int(N, "N", ParseError)
+        r = json_int(r, "r", ParseError)
+        exps = json_int_array(exps, "exps", ParseError)
         try:
             return cls(N, r, exps, obj.get("provenance"))
         except InvariantError as exc:

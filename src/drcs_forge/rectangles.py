@@ -23,6 +23,8 @@ from .errors import (
     SameRowError,
     SchemaError,
     TooManyColumnsRemovedError,
+    json_int,
+    json_int_array,
 )
 from .finite_field import find_primitive_polynomial, is_prime
 
@@ -90,6 +92,9 @@ class Rectangle:
             N, n, rows = obj["N"], obj["n"], obj["rows"]
         except (KeyError, TypeError) as exc:
             raise SchemaError("rectangle JSON needs N, n, rows: %s" % exc) from None
+        N = json_int(N, "N", SchemaError)
+        n = json_int(n, "n", SchemaError)
+        rows = json_int_array(rows, "rows", SchemaError)
         rect = cls(N, rows, obj.get("provenance"))
         if rect.ncols != n:
             raise SchemaError("declared n=%d but rows have %d columns" % (n, rect.ncols))

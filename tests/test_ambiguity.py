@@ -107,26 +107,54 @@ class TestFlockEvaluator:
             af_flock(np.zeros((2, 3), int), np.zeros((3, 3), int), 0, 0, 2)
 
 
+# (M, L, (Z_x, Z_y), r): edge shapes of both grid paths' lag lines
+EDGE_SHAPES = pytest.mark.parametrize("M, L, zone, r", [
+    (2, 7, (7, 5), 4),
+    (3, 8, (3, 8), 5),
+    (2, 9, (4, 4), 3),
+    (2, 6, (1, 1), 4),
+    (3, 1, (1, 1), 2),
+    (1, 10, (10, 10), 3),
+    (4, 12, (12, 7), 6),
+    (2, 4, (6, 6), 3),
+], ids=["base", "zx_ne_zy", "zx_lt_L", "zone_1", "L_1", "M_1", "r_6", "zone_past_L"])
+
+
+def _edge_flocks(M, L, r):
+    rng = np.random.default_rng(11)
+    return rng.integers(0, r, size=(M, L)), rng.integers(0, r, size=(M, L))
+
+
 class TestGrid:
-    # (M, L, (Z_x, Z_y), r): edge shapes of the fft path's diagonal gather
-    @pytest.mark.parametrize("M, L, zone, r", [
-        (2, 7, (7, 5), 4),
-        (3, 8, (3, 8), 5),
-        (2, 9, (4, 4), 3),
-        (2, 6, (1, 1), 4),
-        (3, 1, (1, 1), 2),
-        (1, 10, (10, 10), 3),
-        (4, 12, (12, 7), 6),
-        (2, 4, (6, 6), 3),
-    ], ids=["base", "zx_ne_zy", "zx_lt_L", "zone_1", "L_1", "M_1", "r_6", "zone_past_L"])
+    @EDGE_SHAPES
     def test_naive_equals_fft(self, M, L, zone, r):
-        rng = np.random.default_rng(11)
-        C1 = rng.integers(0, r, size=(M, L))
-        C2 = rng.integers(0, r, size=(M, L))
+        C1, C2 = _edge_flocks(M, L, r)
         g1 = af_grid(C1, C2, Zone(*zone), r, method="naive")
         g2 = af_grid(C1, C2, Zone(*zone), r, method="fft")
         assert g2.values.shape == (2 * zone[0] - 1, 2 * zone[1] - 1)
         assert np.allclose(g1.values, g2.values, atol=1e-9)
+
+    @EDGE_SHAPES
+    def test_naive_matches_literal_sum(self, M, L, zone, r):
+        C1, C2 = _edge_flocks(M, L, r)
+        g = af_grid(C1, C2, Zone(*zone), r, method="naive")
+        for tau, nu in Zone(*zone).lattice():
+            want = naive_flock_af(C1.tolist(), C2.tolist(), r, tau, nu)
+            assert abs(g.value(tau, nu) - want) <= 1e-12 * M * L
+
+    def test_naive_needs_no_fft(self, monkeypatch):
+        C1, C2 = _edge_flocks(4, 12, 6)
+        want = af_grid(C1, C2, Zone(12, 7), 6, method="naive").values
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the naive grid path called the FFT")
+
+        monkeypatch.setattr(np.fft, "fft", refuse)
+        monkeypatch.setattr(np.fft, "ifft", refuse)
+        got = af_grid(C1, C2, Zone(12, 7), 6, method="naive").values
+        assert np.array_equal(got, want)
+        with pytest.raises(AssertionError):
+            af_grid(C1, C2, Zone(12, 7), 6, method="fft")
 
     def test_single_cell_zone(self):
         C = np.array([[0, 1, 2]])
@@ -173,9 +201,9 @@ class TestThetaMax:
         assert rep.theta_max is None
 
     def test_methods_agree(self, set63):
-        small_zone = Zone(4, 4)
-        rep_n = theta_max(set63, zone=small_zone, method="naive")
-        rep_f = theta_max(set63, zone=small_zone, method="fft")
+        full_zone = Zone(56, 56)
+        rep_n = theta_max(set63, zone=full_zone, method="naive")
+        rep_f = theta_max(set63, zone=full_zone, method="fft")
         assert rep_n.theta_a == pytest.approx(rep_f.theta_a, abs=1e-9)
         assert rep_n.theta_c == pytest.approx(rep_f.theta_c, abs=1e-9)
         # the max is attained at many cells; ties within the float error

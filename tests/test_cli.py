@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from drcs_forge.cli import main
 
 
@@ -54,6 +56,78 @@ def test_report_out_to_missing_dir(tmp_path, capsys):
                        "--out", str(tmp_path / "missing" / "row.txt"))
     assert code == 4
     assert "error" in json.loads(err)
+
+
+def test_build_out_to_missing_dir(tmp_path, capsys):
+    rect = str(tmp_path / "r.json")
+    bh = str(tmp_path / "h.json")
+    run(capsys, "rect", "circular-qfr", "3", "2", "--out", rect)
+    run(capsys, "bh", "dft", "9", "--out", bh)
+    code, _, err = run(capsys, "drcs", "build", rect, bh,
+                       "--out", str(tmp_path / "missing" / "s.json"))
+    assert code == 4
+    assert json.loads(err)["error"] == "ParseError"
+
+
+def _set_json(tmp_path, capsys):
+    rect = str(tmp_path / "r.json")
+    bh = str(tmp_path / "h.json")
+    run(capsys, "rect", "circular-qfr", "2", "2", "--out", rect)
+    run(capsys, "bh", "walsh", "2", "--out", bh)
+    code, out, _ = run(capsys, "drcs", "build", rect, bh)
+    assert code == 0
+    return json.loads(out)
+
+
+def _flocks_with_float(obj):
+    obj["flocks"][0][0][1] = 1.7
+
+
+@pytest.mark.parametrize("edit", [
+    _flocks_with_float,
+    lambda obj: obj.update(zone="ab"),
+    lambda obj: obj.update(zone=[3, "x"]),
+    lambda obj: obj.update(r="x"),
+    lambda obj: obj.update(r=2.5),
+], ids=["exponent_1.7", "zone_ab", "zone_item_x", "r_x", "r_2.5"])
+def test_eval_rejects_non_integer_set_fields(tmp_path, capsys, edit):
+    obj = _set_json(tmp_path, capsys)
+    edit(obj)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "drcs", "eval", str(bad))
+    assert code == 4
+    assert out == ""
+    assert json.loads(err)["error"] == "SchemaError"
+
+
+@pytest.mark.parametrize("obj", [
+    {"N": 3, "n": 2, "rows": [[0, 1.9]]},
+    {"N": 3, "n": 2, "rows": [[0, "1"]]},
+    {"N": 3.5, "n": 2, "rows": [[0, 1]]},
+    {"N": 3, "n": "2", "rows": [[0, 1]]},
+], ids=["row_1.9", "row_str", "N_3.5", "n_str"])
+def test_rect_verify_rejects_non_integer_fields(tmp_path, capsys, obj):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "rect", "verify", str(bad))
+    assert code == 4
+    assert out == ""
+    assert json.loads(err)["error"] == "SchemaError"
+
+
+@pytest.mark.parametrize("obj", [
+    {"N": 2, "r": 2, "exps": [[0, 0], [0, 1.0]]},
+    {"N": 2, "r": "x", "exps": [[0, 0], [0, 1]]},
+    {"N": True, "r": 2, "exps": [[0]]},
+], ids=["exps_float", "r_x", "N_bool"])
+def test_bh_verify_rejects_non_integer_fields(tmp_path, capsys, obj):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "bh", "verify", str(bad))
+    assert code == 4
+    assert out == ""
+    assert json.loads(err)["error"] == "ParseError"
 
 
 def test_rect_verify_c2_witness(tmp_path, capsys):
@@ -227,6 +301,47 @@ def test_pipeline_malformed_config(tmp_path, capsys):
     cfg.write_text("[1,")
     code, _, err = run(capsys, "pipeline", str(cfg))
     assert code == 4
+
+
+def test_pipeline_config_not_an_object(tmp_path, capsys):
+    cfg = tmp_path / "list.json"
+    cfg.write_text("[1]")
+    code, _, err = run(capsys, "pipeline", str(cfg))
+    assert code == 4
+    assert json.loads(err)["error"] == "ParseError"
+
+
+def test_pipeline_refuses_itself(tmp_path, capsys):
+    cfg = tmp_path / "self.json"
+    cfg.write_text(json.dumps({"steps": [["pipeline", str(cfg)]]}))
+    code, _, err = run(capsys, "pipeline", str(cfg))
+    assert code == 4
+    assert json.loads(err)["error"] == "ParseError"
+
+
+def test_pipeline_refuses_indirect_cycle(tmp_path, capsys):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    done = tmp_path / "f5.json"
+    a.write_text(json.dumps({"steps": [
+        ["rect", "circular-florentine", "5", "--out", str(done)],
+        ["pipeline", str(b)],
+    ]}))
+    # b names a through a different spelling of the same path
+    b.write_text(json.dumps({"steps": [["pipeline", str(tmp_path / "." / "a.json")]]}))
+    code, _, err = run(capsys, "pipeline", str(a))
+    assert code == 4
+    assert json.loads(err)["error"] == "ParseError"
+    assert done.exists()
+
+
+def test_pipeline_may_repeat_a_config(tmp_path, capsys):
+    inner = tmp_path / "inner.json"
+    inner.write_text(json.dumps({"steps": [["rect", "circular-florentine", "5"]]}))
+    outer = tmp_path / "outer.json"
+    outer.write_text(json.dumps({"steps": [["pipeline", str(inner)]] * 2}))
+    code, out, _ = run(capsys, "pipeline", str(outer))
+    assert code == 0
+    assert out.count('"rows"') == 2
 
 
 def test_missing_input_file(capsys, tmp_path):
