@@ -8,7 +8,9 @@ Errors go to stderr as one JSON object per failure.
 """
 
 import argparse
+import contextlib
 import functools
+import io
 import json
 import os
 import sys
@@ -23,6 +25,7 @@ from .errors import (
     MismatchError,
     ParamsOutOfRangeError,
     ParseError,
+    json_text,
 )
 from .hadamard import PhaseMatrix, dft_matrix, kronecker, load_seed, verify_bh, walsh_hadamard
 from .rectangles import (
@@ -40,7 +43,7 @@ from .rectangles import (
 
 
 def _dump(obj):
-    return json.dumps(obj, sort_keys=True, indent=1) + "\n"
+    return json_text(obj) + "\n"
 
 
 def _write(text, out=None):
@@ -238,10 +241,25 @@ def cmd_pipeline(args):
     if not isinstance(steps, list) or not all(isinstance(s, list) for s in steps):
         raise ParseError("pipeline config needs a steps list of argv lists")
     for step in steps:
-        rc = _main([str(x) for x in step], args.pipelines + (path,))
+        rc = _run(_parse_step([str(x) for x in step]), args.pipelines + (path,))
         if rc != 0:
             return rc
     return 0
+
+
+def _parse_step(argv):
+    """Parse one pipeline step. A step argparse rejects raises ParseError
+    with argparse's message, instead of printing usage text and ending
+    the whole process."""
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            return build_parser().parse_args(argv)
+    except SystemExit as exc:
+        if not exc.code:  # --help printed its text and asked to stop
+            raise
+        message = err.getvalue().strip().splitlines()[-1:]
+        raise ParseError("pipeline step %s rejected: %s" % (argv, "".join(message))) from None
 
 
 def build_parser():
@@ -335,14 +353,12 @@ _DISPATCH = {"rect": cmd_rect, "bh": cmd_bh, "drcs": cmd_drcs, "pipeline": cmd_p
 
 
 def main(argv=None):
-    return _main(argv, ())
+    return _run(build_parser().parse_args(argv), ())
 
 
-def _main(argv, pipelines):
-    """Run one command; pipelines holds the resolved paths of the
+def _run(args, pipelines):
+    """Run one parsed command; pipelines holds the resolved paths of the
     pipeline configs whose steps are running, outermost first."""
-    ap = build_parser()
-    args = ap.parse_args(argv)
     args.pipelines = pipelines
     try:
         return _DISPATCH[args.cmd](args)

@@ -22,6 +22,8 @@ from .errors import (
     UnitarityError,
     json_int,
     json_int_array,
+    json_object,
+    json_text,
 )
 from .hadamard import verify_bh
 from .rectangles import verify_c1, verify_c2
@@ -94,12 +96,15 @@ class DrcsSet:
         return self.flocks[k]
 
     def to_json(self):
+        return self._fields(self.flocks.tolist())
+
+    def _fields(self, flocks):
         return {
             "K": self.K,
             "M": self.M,
             "L": self.L,
             "r": self.r,
-            "flocks": self.flocks.tolist(),
+            "flocks": flocks,
             "zone": [self.zone.Z_x, self.zone.Z_y],
             "provenance": self.provenance,
         }
@@ -135,16 +140,15 @@ def build_drcs(A, B):
 
 
 def export_drcs(S, path):
-    """Write the set losslessly as JSON; returns the written dict."""
-    obj = S.to_json()
-    data = json.dumps(obj, sort_keys=True, indent=1)
+    """Write the set losslessly as JSON: the text of S.to_json(), made
+    from the exponent array without converting it to lists first."""
+    data = json_text(S._fields(S.flocks))
     try:
         with open(path, "w") as fh:
             fh.write(data)
             fh.write("\n")
     except OSError as exc:
         raise ParseError("cannot write %s: %s" % (path, exc)) from None
-    return obj
 
 
 def import_drcs(path):
@@ -175,7 +179,7 @@ def import_drcs(path):
     declared = tuple(obj.get(k, flocks.shape[i]) for i, k in enumerate(("K", "M", "L")))
     if declared != flocks.shape:
         raise SchemaError("declared shape %s != payload shape %s" % (declared, flocks.shape))
-    prov = obj.get("provenance") or {"source": "external"}
+    prov = json_object(obj.get("provenance"), "provenance", SchemaError) or {"source": "external"}
     if "source" not in prov:
         prov = dict(prov)
         prov["source"] = {"path": str(path), "sha256": hashlib.sha256(raw).hexdigest()}

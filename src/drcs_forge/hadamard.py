@@ -19,6 +19,7 @@ from .errors import (
     UnitarityError,
     json_int,
     json_int_array,
+    json_object,
 )
 from .finite_field import is_prime
 
@@ -74,7 +75,7 @@ class PhaseMatrix:
         r = json_int(r, "r", ParseError)
         exps = json_int_array(exps, "exps", ParseError)
         try:
-            return cls(N, r, exps, obj.get("provenance"))
+            return cls(N, r, exps, json_object(obj.get("provenance"), "provenance", ParseError))
         except InvariantError as exc:
             raise ParseError(str(exc)) from None
 

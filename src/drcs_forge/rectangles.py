@@ -3,7 +3,10 @@
 A rectangle is a matrix over Z_N whose rows each carry distinct symbols
 (C1) and whose ordered symbol pairs appear at most once per rightward
 step across all rows (C2); the circular variant takes steps cyclically.
-Circular C2 implies linear C2. Rectangles combine through a base-N1
+Circular C2 implies linear C2. Under C1 every symbol has one column
+per row, so C2 is checked on one position table: two rows share an
+ordered pair at one step exactly when two of their common symbols have
+the same shift between the rows. Rectangles combine through a base-N1
 product that multiplies alphabets and column counts while keeping the
 minimum of the two row counts.
 """
@@ -25,6 +28,7 @@ from .errors import (
     TooManyColumnsRemovedError,
     json_int,
     json_int_array,
+    json_object,
 )
 from .finite_field import find_primitive_polynomial, is_prime
 
@@ -95,7 +99,7 @@ class Rectangle:
         N = json_int(N, "N", SchemaError)
         n = json_int(n, "n", SchemaError)
         rows = json_int_array(rows, "rows", SchemaError)
-        rect = cls(N, rows, obj.get("provenance"))
+        rect = cls(N, rows, json_object(obj.get("provenance"), "provenance", SchemaError))
         if rect.ncols != n:
             raise SchemaError("declared n=%d but rows have %d columns" % (n, rect.ncols))
         return rect
@@ -133,60 +137,112 @@ def c1_witness(R):
     return None
 
 
-def _step_keys(R, m, circular):
-    """Encoded (step, left symbol, right symbol) keys for one step size."""
-    N = R.N
-    if circular:
-        a = R.rows
-        b = np.roll(R.rows, -m, axis=1)
-    else:
-        a = R.rows[:, : R.ncols - m]
-        b = R.rows[:, m:]
-    return ((np.int64(m) * N + a) * N + b).ravel()
+def _positions(R):
+    """The position table pos[k, s]: the column of symbol s in row k, or
+    -1 where row k lacks s; plus ranks, each entry's symbol index s.
+
+    Symbols are indexed by rank among those that occur, so the table
+    has at most K * n columns whatever the alphabet size. Needs C1:
+    under it each row holds a symbol in one column at most.
+    """
+    flat = np.sort(R.rows, axis=None)
+    used = flat[np.concatenate(([True], flat[1:] != flat[:-1]))]
+    ranks = np.searchsorted(used, R.rows)
+    pos = np.full((R.nrows, used.size), -1, dtype=np.int64)
+    pos[np.arange(R.nrows)[:, None], ranks] = np.arange(R.ncols)
+    return pos, ranks
+
+
+def _shift_collisions(pos, ranks, circular):
+    """Yield (i, key, cols) for each row i that shares a placement with a
+    later row.
+
+    For a row p > i and column j of row i, the shift of the symbol at
+    j is its column in row p minus j (mod n when circular). Columns of
+    row i whose symbols share key = (p - i - 1, shift) with another
+    column are returned as cols, sorted by key and then by column, so
+    each colliding key is one run of two or more ascending columns.
+    """
+    n = ranks.shape[1]
+    j = np.arange(n)
+    width = n if circular else 2 * n - 1
+    for i in range(ranks.shape[0] - 1):
+        later = pos[i + 1:, ranks[i]]
+        present = later >= 0
+        shift = (later - j) % n if circular else later - j + (n - 1)
+        key = (np.arange(later.shape[0])[:, None] * width + shift)[present]
+        counts = np.bincount(key)
+        if counts.max(initial=0) > 1:
+            hit = counts[key] > 1
+            key, cols = key[hit], np.broadcast_to(j, later.shape)[present][hit]
+            order = np.argsort(key, kind="stable")
+            yield i, key[order], cols[order]
+
+
+def _require_c1(R):
+    if not verify_c1(R):
+        raise C1ViolatedError("rectangle fails C1; C2 check is not meaningful")
 
 
 def verify_c2(R, circular=False):
     """The at-most-one-row pair/step condition over the whole rectangle.
 
-    Occurrences are hashed as (step, a, b) keys; under C1 each row
-    produces each key at most once, so duplicate keys mean two distinct
-    rows share a placement. Raises C1ViolatedError when the precondition
-    fails (key counting and row counting only agree under C1).
+    Under C1 a symbol sits in at most one column of a row, so its shift
+    between rows i and p, pos[p, s] - pos[i, s], is well defined. Both
+    rows hold the ordered pair (a, b) at one step exactly when a and b
+    are common to them and have equal shifts: the step is then the
+    distance from a to b in either row. C2 therefore holds iff, for
+    every pair of rows, the shifts of their common symbols are pairwise
+    distinct (compared mod n for circular C2). A row that repeats a
+    symbol has no single position for it, so C1ViolatedError is raised
+    when the precondition fails.
     """
-    if not verify_c1(R):
-        raise C1ViolatedError("rectangle fails C1; C2 check is not meaningful")
+    _require_c1(R)
     if R.ncols < 2:
         return True
-    keys = np.concatenate([_step_keys(R, m, circular) for m in range(1, R.ncols)])
-    return np.unique(keys).size == keys.size
+    return next(_shift_collisions(*_positions(R), circular), None) is None
 
 
 def c2_witness(R, circular=False):
     """None when C2 holds, else a dict naming the colliding pair, the step,
-    and the two row indices. Meant for CLI diagnostics."""
-    if not verify_c1(R):
-        raise C1ViolatedError("rectangle fails C1; C2 check is not meaningful")
+    and the two row indices. Meant for CLI diagnostics.
+
+    The witness is the smallest step, then the lexicographically
+    smallest pair (a, b) shared at that step, then the two lowest rows
+    holding it. Columns of row i in one colliding run share a placement
+    for every ordered pair of them; the shortest such step joins two
+    neighbours in the run (or the last and first when circular), so
+    only those pairs are candidates.
+    """
+    _require_c1(R)
     if R.ncols < 2:
         return None
-    N, n = R.N, R.ncols
-    for m in range(1, n):
-        keys = _step_keys(R, m, circular)
-        uniq, counts = np.unique(keys, return_counts=True)
-        dup = uniq[counts > 1]
-        if dup.size == 0:
-            continue
-        key = int(dup[0])
-        b = key % N
-        a = (key // N) % N
-        hit_rows = []
-        for i in range(R.nrows):
-            row = R.rows[i]
-            for j in range(n if circular else n - m):
-                if row[j] == a and row[(j + m) % n] == b:
-                    hit_rows.append(i)
-                    break
-        return {"pair": [a, b], "step": m, "rows": hit_rows[:2]}
-    return None
+    n = R.ncols
+    pos, ranks = _positions(R)
+    best = None
+    for i, key, cols in _shift_collisions(pos, ranks, circular):
+        run = key[1:] == key[:-1]
+        left, right = cols[:-1][run], cols[1:][run]
+        if circular:
+            first = np.flatnonzero(np.concatenate(([True], ~run)))
+            last = np.concatenate((first[1:], [key.size])) - 1
+            left = np.concatenate((left, cols[last]))
+            right = np.concatenate((right, cols[first]))
+        step = (right - left) % n
+        a, b = R.rows[i, left], R.rows[i, right]
+        k = np.lexsort((b, a, step))[0]
+        cand = (int(step[k]), int(a[k]), int(b[k]), ranks[i, left[k]], ranks[i, right[k]])
+        if best is None or cand < best:
+            best = cand
+    if best is None:
+        return None
+    m, a, b, sa, sb = best
+    pa, pb = pos[:, sa], pos[:, sb]
+    dist = pb - pa
+    if circular:
+        dist %= n
+    rows = np.flatnonzero((pa >= 0) & (pb >= 0) & (dist == m))
+    return {"pair": [a, b], "step": m, "rows": rows[:2].tolist()}
 
 
 def coincidence_count(R, i, p, tau):

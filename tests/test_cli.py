@@ -89,7 +89,10 @@ def _flocks_with_float(obj):
     lambda obj: obj.update(zone=[3, "x"]),
     lambda obj: obj.update(r="x"),
     lambda obj: obj.update(r=2.5),
-], ids=["exponent_1.7", "zone_ab", "zone_item_x", "r_x", "r_2.5"])
+    lambda obj: obj["flocks"][1][0].__setitem__(0, True),
+    lambda obj: obj.update(provenance="x"),
+], ids=["exponent_1.7", "zone_ab", "zone_item_x", "r_x", "r_2.5", "exponent_true",
+        "provenance_str"])
 def test_eval_rejects_non_integer_set_fields(tmp_path, capsys, edit):
     obj = _set_json(tmp_path, capsys)
     edit(obj)
@@ -106,7 +109,9 @@ def test_eval_rejects_non_integer_set_fields(tmp_path, capsys, edit):
     {"N": 3, "n": 2, "rows": [[0, "1"]]},
     {"N": 3.5, "n": 2, "rows": [[0, 1]]},
     {"N": 3, "n": "2", "rows": [[0, 1]]},
-], ids=["row_1.9", "row_str", "N_3.5", "n_str"])
+    {"N": 3, "n": 2, "rows": [[0, True]]},
+    {"N": 3, "n": 2, "rows": [[0, 1]], "provenance": "x"},
+], ids=["row_1.9", "row_str", "N_3.5", "n_str", "row_true", "provenance_str"])
 def test_rect_verify_rejects_non_integer_fields(tmp_path, capsys, obj):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(obj))
@@ -120,7 +125,9 @@ def test_rect_verify_rejects_non_integer_fields(tmp_path, capsys, obj):
     {"N": 2, "r": 2, "exps": [[0, 0], [0, 1.0]]},
     {"N": 2, "r": "x", "exps": [[0, 0], [0, 1]]},
     {"N": True, "r": 2, "exps": [[0]]},
-], ids=["exps_float", "r_x", "N_bool"])
+    {"N": 2, "r": 2, "exps": [[0, 0], [0, True]]},
+    {"N": 1, "r": 2, "exps": [[0]], "provenance": ["x"]},
+], ids=["exps_float", "r_x", "N_bool", "exps_true", "provenance_list"])
 def test_bh_verify_rejects_non_integer_fields(tmp_path, capsys, obj):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(obj))
@@ -301,6 +308,19 @@ def test_pipeline_malformed_config(tmp_path, capsys):
     cfg.write_text("[1,")
     code, _, err = run(capsys, "pipeline", str(cfg))
     assert code == 4
+
+
+@pytest.mark.parametrize("step", [["bogus"], ["rect", "circular-florentine", "x"],
+                                  ["drcs", "grid", "s.json"]],
+                         ids=["command", "int_value", "required_option"])
+def test_pipeline_step_argparse_rejects(tmp_path, capsys, step):
+    cfg = tmp_path / "steps.json"
+    cfg.write_text(json.dumps({"steps": [step]}))
+    code, out, err = run(capsys, "pipeline", str(cfg))
+    assert code == 4
+    assert out == ""
+    assert json.loads(err)["error"] == "ParseError"
+    assert "usage" not in err
 
 
 def test_pipeline_config_not_an_object(tmp_path, capsys):

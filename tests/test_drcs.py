@@ -82,7 +82,9 @@ class TestSerialization:
 
     def test_declared_shape_must_match(self, set8, tmp_path):
         path = str(tmp_path / "set.json")
-        obj = export_drcs(set8, path)
+        export_drcs(set8, path)
+        with open(path) as fh:
+            obj = json.load(fh)
         obj["K"] = 9
         path2 = str(tmp_path / "lie.json")
         with open(path2, "w") as fh:
@@ -102,7 +104,9 @@ class TestSerialization:
 
     def test_external_provenance_default(self, set8, tmp_path):
         path = str(tmp_path / "bare.json")
-        obj = export_drcs(set8, path)
+        export_drcs(set8, path)
+        with open(path) as fh:
+            obj = json.load(fh)
         del obj["provenance"]
         with open(path, "w") as fh:
             json.dump(obj, fh)

@@ -42,6 +42,41 @@ def c1_matrices(draw, N=6, max_rows=5):
     return Rectangle(N, rows)
 
 
+@st.composite
+def c1_rectangles_with_repeats(draw, max_N=12, max_rows=8):
+    """C1 rectangles over Z_N, N <= 12, where a row may copy an earlier
+    row or a rotation of it, so that C2 failures are common."""
+    N = draw(st.integers(1, max_N))
+    ncols = draw(st.integers(1, N))
+    rows = []
+    for _ in range(draw(st.integers(1, max_rows))):
+        kind = draw(st.sampled_from(("fresh", "copy", "rotate")) if rows else st.just("fresh"))
+        if kind == "fresh":
+            rows.append(draw(st.permutations(range(N)))[:ncols])
+        else:
+            base = rows[draw(st.integers(0, len(rows) - 1))]
+            k = draw(st.integers(0, ncols - 1)) if kind == "rotate" else 0
+            rows.append(base[k:] + base[:k])
+    return Rectangle(N, rows)
+
+
+def literal_c2_witness(rows, N, circular):
+    """The C2 witness by definition: smallest step, then the smallest
+    ordered pair (a, b), then the two lowest rows holding it."""
+    n = len(rows[0])
+    for m in range(1, n):
+        for a in range(N):
+            for b in range(N):
+                hits = [
+                    k for k, row in enumerate(rows)
+                    if any(row[j] == a and row[(j + m) % n] == b
+                           for j in range(n if circular else n - m))
+                ]
+                if len(hits) > 1:
+                    return {"pair": [a, b], "step": m, "rows": hits[:2]}
+    return None
+
+
 class TestVerifyC1:
     def test_fixture_passes(self, rect_a8):
         assert verify_c1(rect_a8)
@@ -79,13 +114,35 @@ class TestVerifyC2:
         if verify_c2(R, circular=True):
             assert verify_c2(R, circular=False)
 
-    @given(c1_matrices())
-    @settings(max_examples=60, deadline=None)
+    @given(c1_rectangles_with_repeats())
+    @settings(max_examples=150, deadline=None)
     def test_matches_literal_oracle(self, R):
         for circ in (False, True):
             assert verify_c2(R, circular=circ) == definition_literal_c2(
                 R.rows.tolist(), R.N, circular=circ
             )
+
+    @given(c1_rectangles_with_repeats())
+    @settings(max_examples=150, deadline=None)
+    def test_witness_matches_literal_search(self, R):
+        for circ in (False, True):
+            assert c2_witness(R, circular=circ) == literal_c2_witness(
+                R.rows.tolist(), R.N, circ
+            )
+
+    def test_witness_on_a_wide_alphabet(self):
+        # symbols near 10**12 would overflow any key that packs (step, a, b)
+        a, b = 10**12 - 7, 10**12 - 3
+        R = Rectangle(10**12, [[5, a, b], [a, b, 5]])
+        assert verify_c2(R, circular=False) is False
+        assert c2_witness(R, circular=False) == {"pair": [a, b], "step": 1, "rows": [0, 1]}
+        assert c2_witness(R, circular=True) == {"pair": [5, a], "step": 1, "rows": [0, 1]}
+
+    def test_catalog_rectangle(self):
+        # 60 x 3843 over Z_3904: O(K * n^2) placement keys would need GBs
+        R = product_family("florentine_x_primepower", N1=61, p=2, n=6, c=1)
+        assert (R.nrows, R.ncols, R.N) == (60, 3843, 3904)
+        assert verify_c2(R)
 
 
 class TestBuilders:
