@@ -241,7 +241,10 @@ def cmd_pipeline(args):
     if not isinstance(steps, list) or not all(isinstance(s, list) for s in steps):
         raise ParseError("pipeline config needs a steps list of argv lists")
     for step in steps:
-        rc = _run(_parse_step([str(x) for x in step]), args.pipelines + (path,))
+        step_args = _parse_step([str(x) for x in step])
+        if step_args is None:
+            continue
+        rc = _run(step_args, args.pipelines + (path,))
         if rc != 0:
             return rc
     return 0
@@ -250,19 +253,23 @@ def cmd_pipeline(args):
 def _parse_step(argv):
     """Parse one pipeline step. A step argparse rejects raises ParseError
     with argparse's message, instead of printing usage text and ending
-    the whole process."""
+    the whole process. A help step prints its help and gives None, so
+    the pipeline goes on with the next step."""
     err = io.StringIO()
     try:
         with contextlib.redirect_stderr(err):
             return build_parser().parse_args(argv)
     except SystemExit as exc:
         if not exc.code:  # --help printed its text and asked to stop
-            raise
+            return None
         message = err.getvalue().strip().splitlines()[-1:]
         raise ParseError("pipeline step %s rejected: %s" % (argv, "".join(message))) from None
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The CLI's argument parser, built on first use and shared by main
+    and every pipeline step of the process (never at import)."""
     ap = argparse.ArgumentParser(
         prog="drcs-forge",
         description="construct and evaluate Doppler-resilient complementary sequence sets",

@@ -3,7 +3,10 @@
 A matrix H of order N over the r-th roots of unity is Butson-type when
 H H* = N I. Everything here stores the exponent table E with
 H = omega_r^E, so constructions and Kronecker products stay exact
-integer arithmetic; only the composite-order verifier touches floats.
+integer arithmetic. The verifier works from the float Gram matrix: for
+prime r a stated rounding bound makes its verdict exact (or it counts
+exponent differences instead), for composite r it is a tolerance test.
+Builders refuse orders above ORDER_CAP before allocating anything.
 """
 
 import hashlib
@@ -55,7 +58,12 @@ class PhaseMatrix:
         )
 
     def to_complex(self):
-        return np.exp(2j * np.pi * self.exps / self.r)
+        """H = omega_r^E, gathered from a table of the r roots. Each entry
+        has the bits of np.exp(2j * np.pi * e / r); when r exceeds the
+        entry count, the entries are computed directly instead."""
+        if self.r > self.exps.size:
+            return np.exp(2j * np.pi * self.exps / self.r)
+        return np.exp(2j * np.pi * np.arange(self.r) / self.r)[self.exps]
 
     def to_json(self):
         return {
@@ -80,11 +88,22 @@ class PhaseMatrix:
             raise ParseError(str(exc)) from None
 
 
+# Largest order a builder makes: the int64 exponent table is 0.5 GB and
+# verify_bh's complex Gram matrix 1 GB at this order.
+ORDER_CAP = 8192
+
+
+def _check_order(N, what):
+    if N > ORDER_CAP:
+        raise ParamsOutOfRangeError("%s has order %d, over the cap of %d" % (what, N, ORDER_CAP))
+
+
 def dft_matrix(N):
     """Fourier exponents i*j mod N; a Butson matrix of order N over r = N."""
     N = int(N)
     if N < 1:
         raise ParamsOutOfRangeError("need N >= 1, got %d" % N)
+    _check_order(N, "dft matrix")
     i = np.arange(N, dtype=np.int64)
     return PhaseMatrix(N, N, (i[:, None] * i[None, :]) % N, {"builder": "dft", "N": N})
 
@@ -97,6 +116,9 @@ def walsh_hadamard(m):
     m = int(m)
     if m < 0:
         raise ParamsOutOfRangeError("need m >= 0, got %d" % m)
+    if m >= ORDER_CAP.bit_length():  # 2^m > ORDER_CAP, without computing 2^m
+        raise ParamsOutOfRangeError("walsh matrix has order 2^%d, over the cap of %d"
+                                    % (m, ORDER_CAP))
     exps = np.zeros((1, 1), dtype=np.int64)
     for _ in range(m):
         exps = np.block([[exps, exps], [exps, (exps + 1) % 2]])
@@ -108,11 +130,12 @@ def kronecker(B1, B2):
 
     Phases add after rescaling both factors onto the common root.
     """
+    N = B1.N * B2.N
+    _check_order(N, "kronecker product")
     r = math.lcm(B1.r, B2.r)
     s1, s2 = r // B1.r, r // B2.r
     a = (s1 * B1.exps)[:, None, :, None]
     b = (s2 * B2.exps)[None, :, None, :]
-    N = B1.N * B2.N
     exps = ((a + b) % r).reshape(N, N)
     return PhaseMatrix(
         N, r, exps, {"builder": "kronecker", "left": B1.provenance, "right": B2.provenance}
@@ -122,14 +145,69 @@ def kronecker(B1, B2):
 UNITARITY_RTOL = 1e-9
 
 
+def _norm_floor(N, r):
+    """Smallest |x| of a nonzero x = sum of N r-th roots of unity, r prime.
+
+    x lies in Z[omega_r] and its norm, the product of its r - 1
+    conjugates, is a nonzero integer. The conjugates come in (r - 1) / 2
+    complex-conjugate pairs, each of magnitude at most N, so
+    |x|^2 * N^(r - 3) >= 1. For r = 2 x is an integer; r = 3 gives 1 too.
+    """
+    return float(N) ** (-(max(r, 3) - 3) / 2)
+
+
+def _gram_error_bound(N):
+    """Entrywise bound on |G~ - H H*|, G~ the Gram matrix computed in floats.
+
+    Each computed root is within 12 eps of omega_r^e: the angle
+    2 pi e / r carries three roundings (< 10 eps absolute), cos and sin
+    one ulp each. So the exact Gram matrix of the computed roots is
+    within 25 N eps of H H*. Computing it in floats adds, to each real
+    and imaginary part, the error of a length-2N dot product whose terms
+    sum to at most N: at most gamma_2N * N ~ N^2 eps, in any summation
+    order. Both fit under 8 (N^2 + 4N) eps with room to spare.
+    """
+    return 8 * (N * N + 4 * N) * np.finfo(np.float64).eps
+
+
+def _uniform_differences(E, r):
+    """True when, for every row pair (i, p), the differences E[i] - E[p]
+    mod r hit each residue N / r times: one bincount per row i over the
+    codes (p offset) * r + difference."""
+    N = len(E)
+    for i in range(N - 1):
+        rest = N - 1 - i
+        codes = E[i] - E[i + 1:]
+        codes %= r
+        codes += (np.arange(rest) * r)[:, None]
+        if not np.all(np.bincount(codes.ravel(), minlength=rest * r) == N // r):
+            return False
+    return True
+
+
+def _gram_deviation(B):
+    """max |H H* - N I| over all entries, from one float Gram product."""
+    H = B.to_complex()
+    G = H @ H.conj().T
+    G.flat[:: B.N + 1] -= B.N
+    return np.max(np.abs(G))
+
+
 def verify_bh(B):
     """Check H H* = N I for the exponent table B.
 
-    Prime r admits an exact test: a sum of N r-th roots of unity with
-    prime r vanishes iff every residue appears equally often, so each
-    off-diagonal row pair must spread its exponent differences uniformly
-    (and r must divide N for that to be possible at all). Composite r
-    falls back to a numeric Gram check with tolerance 1e-9 * N.
+    Prime r is decided exactly. An off-diagonal entry x of H H* is a sum
+    of N r-th roots of unity; it vanishes iff every residue appears
+    equally often among its exponent differences, so r must divide N.
+    A nonzero x has |x| >= floor = N^(-(r - 3) / 2) (1 for r = 2, 3;
+    see _norm_floor). When the rounding bound 8 (N^2 + 4N) eps on the
+    float Gram matrix is below floor / 4, which holds for r = 2, 3 and 5
+    at every order up to ORDER_CAP, the verdict is
+    max |G - N I| < floor / 2: an exact zero reads below floor / 4, a
+    nonzero entry above 3 floor / 4. Otherwise (large r, as in
+    dft_matrix(p) for a prime p) the differences are counted exactly.
+
+    Composite r keeps a numeric Gram check with tolerance 1e-9 * N.
     """
     N, r = B.N, B.r
     if N == 1:
@@ -137,17 +215,11 @@ def verify_bh(B):
     if is_prime(r):
         if N % r != 0:
             return False
-        want = N // r
-        for i in range(N):
-            diffs = (B.exps[i] - B.exps[i + 1 :]) % r
-            for v in range(r):
-                if not np.all(np.sum(diffs == v, axis=1) == want):
-                    return False
-        return True
-    H = B.to_complex()
-    G = H @ H.conj().T
-    off = G - N * np.eye(N)
-    return bool(np.max(np.abs(off)) <= UNITARITY_RTOL * N)
+        floor = _norm_floor(N, r)
+        if _gram_error_bound(N) >= floor / 4:
+            return _uniform_differences(B.exps, r)
+        return bool(_gram_deviation(B) < floor / 2)
+    return bool(_gram_deviation(B) <= UNITARITY_RTOL * N)
 
 
 def load_seed(path):

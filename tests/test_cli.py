@@ -1,8 +1,13 @@
 import json
+import os
+import tracemalloc
 
 import pytest
 
+from drcs_forge import cli
 from drcs_forge.cli import main
+
+DESK_PIPELINE = os.path.join(os.path.dirname(__file__), "data", "pipeline_desk.json")
 
 
 def run(capsys, *argv):
@@ -362,6 +367,78 @@ def test_pipeline_may_repeat_a_config(tmp_path, capsys):
     code, out, _ = run(capsys, "pipeline", str(outer))
     assert code == 0
     assert out.count('"rows"') == 2
+
+
+def test_pipeline_help_step_goes_on(tmp_path, capsys):
+    out_file = tmp_path / "h5.json"
+    cfg = tmp_path / "steps.json"
+    cfg.write_text(json.dumps({"steps": [
+        ["rect", "--help"],
+        ["rect", "circular-florentine", "5", "--out", str(out_file)],
+    ]}))
+    code, out, err = run(capsys, "pipeline", str(cfg))
+    assert code == 0
+    assert "usage:" in out and err == ""
+    assert json.loads(out_file.read_text())["N"] == 5
+
+
+def test_parser_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_pipeline_twice_in_one_process(tmp_path, capsys):
+    cfg = tmp_path / "steps.json"
+    outs = []
+    for run_dir in ("a", "b"):
+        (tmp_path / run_dir).mkdir()
+        rect, report = tmp_path / run_dir / "r.json", tmp_path / run_dir / "v.json"
+        cfg.write_text(json.dumps({"steps": [
+            ["rect", "circular-florentine", "5", "--out", str(rect)],
+            ["rect", "verify", str(rect), "--circular", "--out", str(report)],
+        ]}))
+        assert run(capsys, "pipeline", str(cfg))[0] == 0
+        outs.append((rect.read_bytes(), report.read_bytes()))
+    assert outs[0] == outs[1]
+
+
+def test_committed_desk_pipeline(tmp_path, capsys, monkeypatch):
+    """The config the CI workflow runs through the installed entry point."""
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, "pipeline", DESK_PIPELINE)
+    assert code == 0, err
+    assert json.loads((tmp_path / "rect_verify.json").read_text())["c2"]
+    assert json.loads((tmp_path / "bh_verify.json").read_text())["butson"]
+    ev = json.loads((tmp_path / "eval.json").read_text())
+    assert ev["theta"]["theta_c"] > 0
+
+
+def _run_small(capsys, *argv):
+    """run() that also asserts the call allocated under 4 MB in all."""
+    tracemalloc.start()
+    try:
+        result = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+    return result
+
+
+@pytest.mark.parametrize("argv", [["dft", "100000"], ["walsh", "40"]], ids=["dft", "walsh"])
+def test_bh_builder_over_order_cap(capsys, argv):
+    code, out, err = _run_small(capsys, "bh", *argv)
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "ParamsOutOfRangeError"
+
+
+def test_bh_kron_over_order_cap(tmp_path, capsys):
+    seed = str(tmp_path / "d91.json")
+    assert run(capsys, "bh", "dft", "91", "--out", seed)[0] == 0
+    out_file = tmp_path / "k.json"
+    code, out, err = _run_small(capsys, "bh", "kron", seed, seed, "--out", str(out_file))
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "ParamsOutOfRangeError"
+    assert not out_file.exists()
 
 
 def test_missing_input_file(capsys, tmp_path):

@@ -5,9 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drcs_forge.errors import InvariantError, ParseError, UnitarityError
+from drcs_forge.errors import InvariantError, ParamsOutOfRangeError, ParseError, UnitarityError
 from drcs_forge.hadamard import (
+    ORDER_CAP,
     PhaseMatrix,
+    _gram_error_bound,
+    _norm_floor,
+    _uniform_differences,
     dft_matrix,
     kronecker,
     load_seed,
@@ -16,6 +20,76 @@ from drcs_forge.hadamard import (
 )
 
 SEED_DIR = "src/drcs_forge/data/seeds"
+
+# Cyclotomic polynomials Phi_r, lowest coefficient first: a sum
+# sum_k c_k omega_r^k vanishes iff c(x) is divisible by Phi_r(x).
+CYCLOTOMIC = {
+    2: [1, 1],
+    3: [1, 1, 1],
+    4: [1, 0, 1],
+    5: [1, 1, 1, 1, 1],
+    6: [1, -1, 1],
+    7: [1, 1, 1, 1, 1, 1, 1],
+}
+
+
+def literal_butson(E, r):
+    """Every off-diagonal entry of H H* is zero, decided from counts.
+
+    For prime r this is the literal test that each row pair's exponent
+    differences hit every residue equally often; for composite r the
+    count vector is reduced modulo Phi_r in integer arithmetic.
+    """
+    E = np.asarray(E).tolist()
+    phi = CYCLOTOMIC[r]
+    for i in range(len(E)):
+        for j in range(i + 1, len(E)):
+            counts = [0] * r
+            for a, b in zip(E[i], E[j]):
+                counts[(a - b) % r] += 1
+            if len(phi) == r:  # prime r: Phi_r = 1 + x + ... + x^(r-1)
+                if len(set(counts)) != 1:
+                    return False
+                continue
+            for k in range(r - 1, len(phi) - 2, -1):  # long division by monic Phi_r
+                q = counts[k]
+                for t, c in enumerate(phi):
+                    counts[k - len(phi) + 1 + t] -= q * c
+            if any(counts):
+                return False
+    return True
+
+
+def monomial(B, rng):
+    """Row/column permutations plus per-row/per-column offsets mod r;
+    these keep H H* = N I."""
+    N, r = B.N, B.r
+    E = B.exps[rng.permutation(N)][:, rng.permutation(N)]
+    E = (E + rng.integers(0, r, N)[:, None] + rng.integers(0, r, N)[None, :]) % r
+    return PhaseMatrix(N, r, E)
+
+
+def tampered(B, i, j, step):
+    E = B.exps.copy()
+    E[i, j] = (E[i, j] + step) % B.r
+    return PhaseMatrix(B.N, B.r, E)
+
+
+def _bh21():
+    return load_seed(f"{SEED_DIR}/bh21_3.json")
+
+
+# Known Butson tables by root order r, as builders of (N, r) tables.
+KNOWN = {
+    2: [lambda: walsh_hadamard(1), lambda: walsh_hadamard(3), lambda: walsh_hadamard(5)],
+    3: [lambda: dft_matrix(3), lambda: kronecker(dft_matrix(3), dft_matrix(3)), _bh21,
+        lambda: kronecker(dft_matrix(3), _bh21())],
+    5: [lambda: dft_matrix(5), lambda: kronecker(dft_matrix(5), dft_matrix(5))],
+    7: [lambda: dft_matrix(7), lambda: kronecker(dft_matrix(7), dft_matrix(7))],
+    4: [lambda: dft_matrix(4), lambda: kronecker(dft_matrix(4), walsh_hadamard(2))],
+    6: [lambda: dft_matrix(6), lambda: kronecker(dft_matrix(3), walsh_hadamard(2)),
+        lambda: kronecker(_bh21(), walsh_hadamard(1))],
+}
 
 
 class TestDft:
@@ -87,6 +161,50 @@ class TestVerify:
         exps[5, 5] = (exps[5, 5] + 3) % 6
         assert not verify_bh(PhaseMatrix(6, 6, exps))
 
+    @given(st.sampled_from(sorted(KNOWN)), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_literal_oracle(self, r, data):
+        """Monomial copies of known tables pass, the same copies with one
+        entry changed fail, and verify_bh agrees with the oracle on both."""
+        base = data.draw(st.sampled_from(KNOWN[r]))()
+        B = monomial(base, np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))))
+        assert verify_bh(B) and literal_butson(B.exps, r)
+        i = data.draw(st.integers(0, B.N - 1))
+        j = data.draw(st.integers(0, B.N - 1))
+        bad = tampered(B, i, j, data.draw(st.integers(1, r - 1)))
+        assert not verify_bh(bad) and not literal_butson(bad.exps, r)
+
+    @given(st.sampled_from(sorted(KNOWN)), st.integers(1, 12), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_literal_oracle_on_drawn_tables(self, r, N, data):
+        """Small drawn tables, mostly not Butson, including orders r does
+        not divide; the counting path gives the same verdict for prime r."""
+        E = data.draw(st.lists(st.lists(st.integers(0, r - 1), min_size=N, max_size=N),
+                               min_size=N, max_size=N))
+        B = PhaseMatrix(N, r, E)
+        want = literal_butson(E, r)
+        assert verify_bh(B) == want
+        if len(CYCLOTOMIC[r]) == r and N % r == 0:
+            assert _uniform_differences(B.exps, r) == want
+
+    def test_root_order_far_above_the_entry_count(self):
+        # [[1, 1], [1, -1]] written over r = 10^12: no table of r roots is built
+        r = 10 ** 12
+        assert verify_bh(PhaseMatrix(2, r, [[0, 0], [0, r // 2]]))
+        assert not verify_bh(PhaseMatrix(2, r, [[0, 0], [0, r // 4]]))
+
+    def test_gram_path_covers_small_primes_up_to_the_cap(self):
+        for r in (2, 3, 5):
+            assert _gram_error_bound(ORDER_CAP) < _norm_floor(ORDER_CAP, r) / 4
+
+    def test_counting_path(self):
+        B = dft_matrix(211)
+        assert _gram_error_bound(B.N) >= _norm_floor(B.N, B.r) / 4  # Gram not exact here
+        assert verify_bh(B)
+        assert verify_bh(monomial(B, np.random.default_rng(5)))
+        assert not verify_bh(tampered(B, 17, 100, 1))
+        assert not verify_bh(tampered(B, 0, 0, 210))
+
 
 class TestPhaseMatrix:
     def test_invariants(self):
@@ -97,6 +215,13 @@ class TestPhaseMatrix:
         with pytest.raises(InvariantError):
             PhaseMatrix(0, 2, [])  # empty order
 
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 6, 7, 160, 211, 304, 5000])
+    def test_to_complex_bits(self, r):
+        N = 60 if r <= 3600 else 40  # r > N^2 computes entries directly
+        E = np.random.default_rng(r).integers(0, r, (N, N))
+        got = PhaseMatrix(N, r, E).to_complex()
+        assert got.tobytes() == np.exp(2j * np.pi * E / r).tobytes()
+
     def test_to_complex_unit_modulus(self):
         H = dft_matrix(5).to_complex()
         assert np.allclose(np.abs(H), 1.0)
@@ -105,6 +230,18 @@ class TestPhaseMatrix:
         B = walsh_hadamard(2)
         again = PhaseMatrix.from_json(json.loads(json.dumps(B.to_json())))
         assert again == B
+
+
+class TestOrderCap:
+    def test_builders_refuse_orders_over_the_cap(self):
+        with pytest.raises(ParamsOutOfRangeError):
+            dft_matrix(ORDER_CAP + 1)
+        with pytest.raises(ParamsOutOfRangeError):
+            walsh_hadamard(ORDER_CAP.bit_length())
+        with pytest.raises(ParamsOutOfRangeError):
+            walsh_hadamard(10 ** 12)  # refused without computing 2^m
+        with pytest.raises(ParamsOutOfRangeError):
+            kronecker(dft_matrix(91), dft_matrix(91))
 
 
 class TestSeeds:
