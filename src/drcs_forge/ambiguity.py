@@ -15,6 +15,13 @@ line from integer exponent differences and takes a direct DFT of the
 lines (a matrix product with the L-th root table), sharing no code with
 the fast path; the two are cross-checked in tests and by the CLI
 --paranoid mode. af_pair and af_flock evaluate single cells.
+
+A grid's largest array holds max(L, 2 Z_x - 1) * max(L, 2 Z_y - 1)
+elements and a root table as many as its order; either one over
+GRID_CAP is refused (exit 3) before anything is allocated.
+
+The CSV writers print every float as "%.17g" and work through a grid in
+blocks of rows, formatting each distinct bit pattern of a block once.
 """
 
 import functools
@@ -26,8 +33,16 @@ from .errors import LengthMismatchError, ParamsOutOfRangeError, ShapeMismatchErr
 from .drcs import Zone
 
 
+# Elements of the largest array one grid or root table may take: 2^22
+# (64 MiB of complex values) admits L = 1024 over its full zone.
+GRID_CAP = 1 << 22
+
+
 @functools.lru_cache(maxsize=64)
 def _roots(order):
+    if order > GRID_CAP:
+        raise ParamsOutOfRangeError(
+            "root order %d is over the cap of %d" % (order, GRID_CAP))
     w = np.exp(2j * np.pi * np.arange(order) / order)
     w.setflags(write=False)
     return w
@@ -123,6 +138,22 @@ def _grid_naive(C1, C2, zone, r):
     return G @ W
 
 
+@functools.lru_cache(maxsize=4)
+def _lag_gather(L, Z_x, Z_y):
+    """The index arrays of _grid_fft for one shape, built once and frozen:
+    flat[i, t] is the position of P[t, t + tau] in P.ravel() for the
+    shift tau = i - Z_x + 1 (clipped where t + tau leaves [0, L), which
+    inside marks), and nus holds the nu bins mod L."""
+    t = np.arange(L)
+    u = t + np.arange(-Z_x + 1, Z_x)[:, None]
+    inside = (u >= 0) & (u < L)
+    flat = t * L + np.clip(u, 0, L - 1)
+    nus = np.arange(-Z_y + 1, Z_y) % L
+    for a in (flat, inside, nus):
+        a.setflags(write=False)
+    return flat, inside, nus
+
+
 def _grid_fft(C1, C2, zone, r):
     """Every lag product is a diagonal of P = (w^C1)^T conj(w^C2): the
     line at shift tau is g(t) = P[t, t + tau], zero where t + tau leaves
@@ -131,26 +162,32 @@ def _grid_fft(C1, C2, zone, r):
     L = C1.shape[1]
     w = _roots(r)
     P = w[C1 % r].T @ w[C2 % r].conj()
-    t = np.arange(L)
-    u = t + np.arange(-zone.Z_x + 1, zone.Z_x)[:, None]
-    g = np.where((u >= 0) & (u < L), P[t, np.clip(u, 0, L - 1)], 0)
-    nus = np.arange(-zone.Z_y + 1, zone.Z_y) % L
+    flat, inside, nus = _lag_gather(L, zone.Z_x, zone.Z_y)
+    g = np.where(inside, P.ravel()[flat], 0)
     return (L * np.fft.ifft(g, axis=1))[:, nus]
 
 
 def af_grid(C1, C2, zone, r, method="naive", kind="cross", pair=None):
-    """Evaluate the full lattice; method is "naive" or "fft"."""
+    """Evaluate the full lattice; method is "naive" or "fft". A grid
+    whose largest array would exceed GRID_CAP elements is refused before
+    anything is allocated."""
     C1 = np.asarray(C1, dtype=np.int64)
     C2 = np.asarray(C2, dtype=np.int64)
     if C1.shape != C2.shape or C1.ndim != 2:
         raise ShapeMismatchError("flocks differ in shape: %s vs %s" % (C1.shape, C2.shape))
+    L = C1.shape[1]
+    # P is L x L, the lag lines (2 Z_x - 1) x L, the DFT table L x (2 Z_y - 1)
+    if max(L, 2 * zone.Z_x - 1) * max(L, 2 * zone.Z_y - 1) > GRID_CAP:
+        raise ParamsOutOfRangeError(
+            "grid of length %d over %r needs arrays over the cap of %d elements"
+            % (L, zone, GRID_CAP))
     if method == "naive":
         values = _grid_naive(C1, C2, zone, r)
     elif method == "fft":
         values = _grid_fft(C1, C2, zone, r)
     else:
         raise ParamsOutOfRangeError("method must be naive or fft, got %r" % method)
-    return AfGrid(values, zone, C1.shape[1], kind=kind, pair=pair)
+    return AfGrid(values, zone, L, kind=kind, pair=pair)
 
 
 def _scan(grids, zone, tol, skip_origin):
@@ -166,6 +203,8 @@ def _scan(grids, zone, tol, skip_origin):
             mags[zone.Z_x - 1, zone.Z_y - 1] = -1.0
         mags = mags.ravel()
         top = stairs[-1][0] if stairs else -1.0
+        if mags.max() <= top:
+            continue  # no cell beats the running peak, so no new stair
         prior = np.maximum.accumulate(np.concatenate(([top], mags)))[:-1]
         stairs += [(float(mags[i]), g.pair, int(i)) for i in np.flatnonzero(mags > prior)]
     if not stairs:
@@ -211,9 +250,11 @@ def theta_max(S, zone=None, method="fft"):
     points of the zone. Auto peaks exclude (0,0); cross peaks include
     every cell. Each witness is the lexicographically first (pair, tau,
     nu) within tol = 64*M*L*eps of its peak, so float noise cannot decide
-    a tie and both methods name the same cell.
+    a tie and both methods name the same cell. A zone wider than L is
+    refused, as DrcsSet refuses it: its nu = +-L bins alias the origin.
     """
     zone = zone if zone is not None else S.zone
+    zone.check_length(S.L)
     tol = 64 * S.M * S.L * np.finfo(float).eps
 
     def grids(pairs, kind):
@@ -229,24 +270,52 @@ def theta_max(S, zone=None, method="fft"):
 
 # --- grid exports ---
 
+# cells formatted at a time: the CSV writers' string tables stay this
+# small whatever the grid size
+_BLOCK_CELLS = 1 << 12
+
+
+def _g17_strings(x):
+    """"%.17g" of each float of the 1-D array x, as an object array. Each
+    distinct bit pattern is formatted once; the patterns are compared as
+    integers, so -0.0 and 0.0, or NaNs of different payloads, keep text
+    of their own."""
+    bits, inv = np.unique(np.ascontiguousarray(x, np.float64).view(np.int64),
+                          return_inverse=True)
+    text = ["%.17g" % v for v in bits.view(np.float64).tolist()]
+    return np.array(text, dtype=object)[inv]
+
+
 def write_cells_csv(grid, fh):
-    """One line per lattice cell: tau, nu, re, im, abs."""
+    """One line per lattice cell, tau ascending then nu ascending: tau,
+    nu, re, im, abs. Floats print as "%.17g"; abs is Python's abs() of
+    the complex value, which can differ from np.abs in the last bit.
+    Written in blocks of whole tau rows."""
     fh.write("tau,nu,re,im,abs\n")
-    for tau in range(-grid.zone.Z_x + 1, grid.zone.Z_x):
-        for nu in range(-grid.zone.Z_y + 1, grid.zone.Z_y):
-            v = grid.value(tau, nu)
-            fh.write(
-                "%d,%d,%.17g,%.17g,%.17g\n" % (tau, nu, v.real, v.imag, abs(v))
-            )
+    Z_x, ny = grid.zone.Z_x, 2 * grid.zone.Z_y - 1
+    # one line per nu; joining them with "tau," puts tau at each line's start
+    lines = [""] + ["%d,%%s,%%s,%%s\n" % nu for nu in range(-grid.zone.Z_y + 1, grid.zone.Z_y)]
+    rows = max(1, _BLOCK_CELLS // ny)
+    for i in range(0, 2 * Z_x - 1, rows):
+        v = grid.values[i : i + rows].ravel()
+        n = v.size
+        absv = np.fromiter(map(abs, v.tolist()), np.float64, n)
+        fields = _g17_strings(np.concatenate((v.real, v.imag, absv))).reshape(3, n).T
+        template = "".join(("%d," % tau).join(lines)
+                           for tau in range(i - Z_x + 1, i - Z_x + 1 + n // ny))
+        fh.write(template % tuple(fields.ravel().tolist()))
 
 
 def write_magnitude_csv(grid, fh):
-    """Rectangular magnitude matrix; rows run nu from +max down to -max
-    (plot orientation), columns run tau ascending."""
-    mags = grid.magnitude()
-    for ni in range(2 * grid.zone.Z_y - 2, -1, -1):
-        fh.write(",".join("%.17g" % m for m in mags[:, ni]))
-        fh.write("\n")
+    """Rectangular magnitude matrix (np.abs); rows run nu from +max down
+    to -max (plot orientation), columns run tau ascending. Floats print
+    as "%.17g". Written in blocks of whole nu rows."""
+    mags = grid.magnitude()[:, ::-1].T
+    rows = max(1, _BLOCK_CELLS // mags.shape[1])
+    for j in range(0, mags.shape[0], rows):
+        block = mags[j : j + rows]
+        fields = _g17_strings(block.ravel()).reshape(block.shape)
+        fh.write("".join(",".join(row) + "\n" for row in fields.tolist()))
 
 
 def write_pgm(grid, fh):

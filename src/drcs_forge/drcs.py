@@ -45,6 +45,15 @@ class Zone:
     def __repr__(self):
         return "Zone(%d, %d)" % (self.Z_x, self.Z_y)
 
+    def check_length(self, L):
+        """Refuse half-widths over the sequence length L. Past L a delay
+        leaves no overlap and a Doppler bin wraps: nu = +-L is nu = 0, so a
+        peak scan would report aliases of the origin."""
+        if self.Z_x > L or self.Z_y > L:
+            raise ParamsOutOfRangeError(
+                "zone (%d, %d) exceeds length %d" % (self.Z_x, self.Z_y, L)
+            )
+
     def lattice(self):
         """All (tau, nu) lattice points inside the open box."""
         for tau in range(-self.Z_x + 1, self.Z_x):
@@ -71,10 +80,7 @@ class DrcsSet:
         self.flocks = flocks
         self.r = r
         self.zone = zone if zone is not None else Zone(L, L)
-        if self.zone.Z_x > L or self.zone.Z_y > L:
-            raise ParamsOutOfRangeError(
-                "zone (%d, %d) exceeds length %d" % (self.zone.Z_x, self.zone.Z_y, L)
-            )
+        self.zone.check_length(L)
         self.provenance = dict(provenance) if provenance else {}
 
     @property

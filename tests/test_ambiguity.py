@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from drcs_forge import ambiguity
 from drcs_forge.ambiguity import (
+    GRID_CAP,
     AfGrid,
+    _scan,
     af_flock,
     af_grid,
     af_pair,
@@ -16,7 +19,7 @@ from drcs_forge.ambiguity import (
     write_pgm,
 )
 from drcs_forge.drcs import Zone, build_drcs
-from drcs_forge.errors import LengthMismatchError, ShapeMismatchError
+from drcs_forge.errors import LengthMismatchError, ParamsOutOfRangeError, ShapeMismatchError
 from drcs_forge.hadamard import walsh_hadamard
 from drcs_forge.oracles import naive_af, naive_correlation, naive_flock_af
 from drcs_forge.rectangles import Rectangle
@@ -177,6 +180,31 @@ class TestGrid:
         g = af_grid(C, C, Zone(2, 2), 2, method="naive")
         assert np.allclose(g.magnitude(), np.abs(g.values))
 
+    @pytest.mark.parametrize("method", ["naive", "fft"])
+    def test_cap_refuses_before_allocating(self, method):
+        C = np.zeros((1, 3), dtype=np.int64)
+        # (2 Z_x - 1) x max(L, 2 Z_y - 1) = (2^22 + 1) x 3 cells
+        with pytest.raises(ParamsOutOfRangeError):
+            af_grid(C, C, Zone(2 ** 21 + 1, 2), 2, method=method)
+        with pytest.raises(ParamsOutOfRangeError):
+            af_grid(np.zeros((1, 2049), dtype=np.int64), np.zeros((1, 2049), dtype=np.int64),
+                    Zone(1, 1), 2, method=method)
+
+    @pytest.mark.parametrize("method", ["naive", "fft"])
+    def test_cap_admits_the_n304_shape(self, method):
+        # the N=304 set (K=16, L=285), the longest the benchmark builds, over its full zone
+        assert 569 * 569 <= GRID_CAP
+        C1, C2 = _edge_flocks(1, 285, 4)
+        g = af_grid(C1, C2, Zone(285, 285), 4, method=method)
+        assert g.values.shape == (569, 569)
+
+    def test_root_table_over_cap(self):
+        C = np.zeros((1, 2), dtype=np.int64)
+        with pytest.raises(ParamsOutOfRangeError):
+            af_grid(C, C, Zone(1, 1), GRID_CAP + 1, method="fft")
+        with pytest.raises(ParamsOutOfRangeError):
+            af_pair([0, 1], [1, 0], GRID_CAP + 1, 0, 1)
+
 
 class TestThetaMax:
     def test_toy_flock_is_perfect(self, toy_set):
@@ -219,8 +247,160 @@ class TestThetaMax:
         obj = rep.to_json()
         assert set(obj) >= {"theta_a", "theta_c", "theta_max", "zone", "method"}
 
+    @pytest.mark.parametrize("zone", [(2, 3), (3, 2)])
+    def test_zone_past_length_refused(self, toy_set, zone):
+        # nu = +-L is the Doppler alias of nu = 0: the scan would report the origin
+        with pytest.raises(ParamsOutOfRangeError):
+            theta_max(toy_set, zone=Zone(*zone))
+
+
+def literal_scan(grids, zone, tol, skip_origin):
+    """_scan's contract, cell by cell: the peak magnitude and the first
+    cell in (pair, tau, nu) order within tol of it."""
+    cells = []
+    for g in grids:
+        mags = g.magnitude()
+        for ti in range(2 * zone.Z_x - 1):
+            for ni in range(2 * zone.Z_y - 1):
+                if skip_origin and (ti, ni) == (zone.Z_x - 1, zone.Z_y - 1):
+                    continue
+                cells.append((float(mags[ti, ni]), g.pair,
+                              ti - zone.Z_x + 1, ni - zone.Z_y + 1))
+    if not cells:
+        return None, None
+    peak = max(c[0] for c in cells)
+    mag, pair, tau, nu = next(c for c in cells if c[0] >= peak - tol)
+    return peak, {"pair": list(pair), "tau": tau, "nu": nu, "abs": mag}
+
+
+@st.composite
+def scan_cases(draw):
+    """Grids of real magnitudes drawn from a few levels, so later grids
+    often tie the running peak exactly or within tol of it."""
+    zone = Zone(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    tol = draw(st.sampled_from([0.0, 1e-9, 0.25]))
+    levels = [0.0, 1.0, 2.0, 2.0 - tol / 2, 2.0 + tol / 2, 2.0 - tol, 2.0 + tol, 3.0 - tol]
+    cell = st.sampled_from(levels) | st.floats(0, 4)
+    shape = (2 * zone.Z_x - 1, 2 * zone.Z_y - 1)
+    grids = []
+    for k in range(draw(st.integers(1, 5))):
+        mags = draw(st.lists(cell, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))
+        grids.append(AfGrid(np.reshape(mags, shape), zone, 4, pair=(k, k + 1)))
+    return grids, zone, tol
+
+
+class TestScan:
+    @given(scan_cases(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_literal_search(self, case, skip_origin):
+        grids, zone, tol = case
+        assert _scan(iter(grids), zone, tol, skip_origin) == literal_scan(
+            grids, zone, tol, skip_origin)
+
+    def test_tie_with_running_peak_keeps_first_witness(self):
+        zone = Zone(1, 2)
+        first = AfGrid([[1.0, 2.0, 0.0]], zone, 4, pair=(0, 1))
+        tie = AfGrid([[2.0, 0.0, 2.0]], zone, 4, pair=(0, 2))
+        near = AfGrid([[2.0 + 1e-12, 0.0, 0.0]], zone, 4, pair=(0, 3))
+        peak, wit = _scan(iter([first, tie, near]), zone, 1e-9, False)
+        assert peak == 2.0 + 1e-12
+        assert wit == {"pair": [0, 1], "tau": 0, "nu": 0, "abs": 2.0}
+
+
+def literal_cells_csv(grid):
+    """The cells writer as it was first written, one cell at a time: the
+    reference the block writer must match byte for byte."""
+    out = ["tau,nu,re,im,abs\n"]
+    for tau in range(-grid.zone.Z_x + 1, grid.zone.Z_x):
+        for nu in range(-grid.zone.Z_y + 1, grid.zone.Z_y):
+            v = grid.value(tau, nu)
+            out.append("%d,%d,%.17g,%.17g,%.17g\n" % (tau, nu, v.real, v.imag, abs(v)))
+    return "".join(out)
+
+
+def literal_magnitude_csv(grid):
+    """The magnitude-matrix writer, one row and one value at a time."""
+    mags = grid.magnitude()
+    out = []
+    for ni in range(2 * grid.zone.Z_y - 2, -1, -1):
+        out.append(",".join("%.17g" % m for m in mags[:, ni]))
+        out.append("\n")
+    return "".join(out)
+
+
+def _written(writer, grid):
+    buf = io.StringIO()
+    writer(grid, buf)
+    return buf.getvalue()
+
+
+def _bits(*words):
+    return np.array(words, dtype=np.uint64).view(np.float64).tolist()
+
+
+# every special a float part can hold: signed zeros, infinities, NaNs with
+# their sign and payload, subnormals, and the extremes
+SPECIAL_PARTS = [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072009e-308,
+                 1.7976931348623157e308, 1.0, -1.0, 0.1, 160.00000000000003] + _bits(
+    0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001, 0x7FF0000000000001)
+
+
+def _abs_disagreements():
+    """Complex values whose np.abs and abs() differ in the last bit."""
+    rng = np.random.default_rng(5)
+    z = rng.normal(size=4000) + 1j * rng.normal(size=4000)
+    z = z * 10.0 ** rng.integers(-5, 5, size=4000)
+    return [complex(v) for v in z if float(np.abs(v)) != abs(complex(v))][:16]
+
+
+ABS_DISAGREE = _abs_disagreements()
+
+
+@st.composite
+def drawn_grids(draw):
+    zone = Zone(draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+    n = (2 * zone.Z_x - 1) * (2 * zone.Z_y - 1)
+    part = st.sampled_from(SPECIAL_PARTS) | st.floats(width=64)
+    value = st.builds(complex, part, part) | st.sampled_from(ABS_DISAGREE)
+    values = draw(st.lists(value, min_size=n, max_size=n))
+    shape = (2 * zone.Z_x - 1, 2 * zone.Z_y - 1)
+    return AfGrid(np.array(values, dtype=np.complex128).reshape(shape), zone, 3)
+
 
 class TestWriters:
+    def test_abs_disagreements_exist(self):
+        # the cells writer must keep Python's abs(); these values tell them apart
+        assert len(ABS_DISAGREE) >= 8
+
+    @EDGE_SHAPES
+    @pytest.mark.parametrize("method", ["naive", "fft"])
+    def test_csv_matches_literal_on_edge_shapes(self, M, L, zone, r, method):
+        C1, C2 = _edge_flocks(M, L, r)
+        g = af_grid(C1, C2, Zone(*zone), r, method=method)
+        assert _written(write_cells_csv, g) == literal_cells_csv(g)
+        assert _written(write_magnitude_csv, g) == literal_magnitude_csv(g)
+
+    def test_csv_matches_literal_over_many_blocks(self, set63):
+        for k1, k2 in ((0, 0), (0, 1)):
+            g = af_grid(set63.flock(k1), set63.flock(k2), set63.zone, set63.r, method="fft")
+            assert g.values.size > 2 * ambiguity._BLOCK_CELLS
+            assert _written(write_cells_csv, g) == literal_cells_csv(g)
+            assert _written(write_magnitude_csv, g) == literal_magnitude_csv(g)
+
+    @given(drawn_grids(), st.sampled_from([1, 2, 5, 9, 1 << 11]))
+    @settings(max_examples=200, deadline=None)
+    def test_csv_matches_literal_on_drawn_grids(self, grid, block):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ambiguity, "_BLOCK_CELLS", block)
+            try:
+                want = literal_cells_csv(grid)
+            except OverflowError:  # abs() of a value past the float range
+                with pytest.raises(OverflowError):
+                    _written(write_cells_csv, grid)
+            else:
+                assert _written(write_cells_csv, grid) == want
+            assert _written(write_magnitude_csv, grid) == literal_magnitude_csv(grid)
+
     def _grid(self):
         C = np.array([[0, 1, 1]])
         return af_grid(C, C, Zone(3, 3), 2, method="naive")

@@ -271,6 +271,34 @@ def test_eval_degenerate_zone_reports_infeasible(tmp_path, capsys):
     assert "flags" in obj["bound"]
 
 
+def _desk_set(tmp_path, capsys):
+    """K=9, M=9, L=8 set of rect circular-qfr 3 2 and bh dft 9."""
+    rect = str(tmp_path / "r.json")
+    bh = str(tmp_path / "h.json")
+    sset = str(tmp_path / "s.json")
+    run(capsys, "rect", "circular-qfr", "3", "2", "--out", rect)
+    run(capsys, "bh", "dft", "9", "--out", bh)
+    assert run(capsys, "drcs", "build", rect, bh, "--out", sset)[0] == 0
+    return sset
+
+
+@pytest.mark.parametrize("zone", [["8", "9"], ["9", "8"], ["8", "16"]])
+def test_eval_zone_past_length_refused(tmp_path, capsys, zone):
+    # nu = +-8 is the Doppler alias of the origin of an L = 8 set: a scan
+    # over it would report theta_a = M * L there
+    sset = _desk_set(tmp_path, capsys)
+    code, out, err = run(capsys, "drcs", "eval", sset, "--zone", *zone)
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "ParamsOutOfRangeError"
+
+
+def test_eval_zone_at_length_accepted(tmp_path, capsys):
+    sset = _desk_set(tmp_path, capsys)
+    code, out, _ = run(capsys, "drcs", "eval", sset, "--zone", "8", "8")
+    assert code == 0
+    assert json.loads(out)["theta"]["theta_a"] < 1e-9
+
+
 def test_eval_paranoid_cross_check(tmp_path, capsys):
     rect = str(tmp_path / "r.json")
     bh = str(tmp_path / "h.json")
@@ -410,6 +438,14 @@ def test_committed_desk_pipeline(tmp_path, capsys, monkeypatch):
     assert json.loads((tmp_path / "bh_verify.json").read_text())["butson"]
     ev = json.loads((tmp_path / "eval.json").read_text())
     assert ev["theta"]["theta_c"] > 0
+    # zone (8, 8): a 15 x 15 grid per pair
+    cells = (tmp_path / "cells01.csv").read_text().splitlines()
+    assert cells[0] == "tau,nu,re,im,abs" and len(cells) == 1 + 15 * 15
+    rows = (tmp_path / "mag00.csv").read_text().splitlines()
+    assert len(rows) == 15 and all(len(r.split(",")) == 15 for r in rows)
+    pgm = (tmp_path / "heat01.pgm").read_bytes()
+    assert pgm.startswith(b"P5\n15 15\n65535\n")
+    assert len(pgm) == len(b"P5\n15 15\n65535\n") + 2 * 15 * 15
 
 
 def _run_small(capsys, *argv):
@@ -439,6 +475,37 @@ def test_bh_kron_over_order_cap(tmp_path, capsys):
     assert code == 3 and out == ""
     assert json.loads(err)["error"] == "ParamsOutOfRangeError"
     assert not out_file.exists()
+
+
+def _long_set(tmp_path, L, r=2):
+    """A K=1, M=1 set of length L, a small JSON file whose full-zone
+    grid would need arrays of (2L - 1)^2 elements."""
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"K": 1, "M": 1, "L": L, "r": r, "flocks": [[[0] * L]]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["grid", "--pair", "0", "0", "--out", "g.csv"],
+    ["grid", "--pair", "0", "0", "--method", "naive", "--matrix", "--out", "g.csv"],
+    ["grid", "--pair", "0", "0", "--out", "g.pgm"],
+    ["eval"],
+    ["eval", "--method", "naive"],
+], ids=["grid_cells", "grid_naive_matrix", "grid_pgm", "eval", "eval_naive"])
+def test_grid_over_cap_refused(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    sset = _long_set(tmp_path, 20000)
+    code, out, err = _run_small(capsys, "drcs", argv[0], sset, *argv[1:])
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "ParamsOutOfRangeError"
+    assert not list(tmp_path.glob("g.*"))
+
+
+def test_eval_root_order_over_cap_refused(tmp_path, capsys):
+    sset = _long_set(tmp_path, 4, r=2 ** 40)
+    code, out, err = _run_small(capsys, "drcs", "eval", sset)
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "ParamsOutOfRangeError"
 
 
 def test_missing_input_file(capsys, tmp_path):
