@@ -2,7 +2,7 @@
 sequence sets built from quasi-Florentine rectangles and Butson-type
 Hadamard matrices."""
 
-from .finite_field import FieldSpec, find_primitive_polynomial, psi
+from .finite_field import FieldSpec, find_primitive_polynomial
 from .rectangles import (
     Rectangle,
     build_circular_florentine,
@@ -19,7 +19,7 @@ from .rectangles import (
 )
 from .hadamard import PhaseMatrix, dft_matrix, kronecker, load_seed, verify_bh, walsh_hadamard
 from .drcs import DrcsSet, Zone, build_drcs, export_drcs, import_drcs
-from .ambiguity import AfGrid, ThetaReport, af_flock, af_grid, af_pair, theta_max
+from .ambiguity import AfGrid, ThetaReport, af_grid, af_pair, theta_max
 from .bounds import BoundReport, af_lower_bound, asymptotic_check, optimality_factor
 
 __version__ = "0.1.0"
@@ -33,7 +33,6 @@ __all__ = [
     "Rectangle",
     "ThetaReport",
     "Zone",
-    "af_flock",
     "af_grid",
     "af_lower_bound",
     "af_pair",
@@ -53,7 +52,6 @@ __all__ = [
     "optimality_factor",
     "product_construct",
     "product_family",
-    "psi",
     "search_max_rows",
     "theta_max",
     "truncate_columns",

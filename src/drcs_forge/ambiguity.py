@@ -14,7 +14,7 @@ one inverse FFT over them. The reference path ("naive") builds each lag
 line from integer exponent differences and takes a direct DFT of the
 lines (a matrix product with the L-th root table), sharing no code with
 the fast path; the two are cross-checked in tests and by the CLI
---paranoid mode. af_pair and af_flock evaluate single cells.
+--paranoid mode. af_pair evaluates a single cell of one sequence pair.
 
 A grid's largest array holds max(L, 2 Z_x - 1) * max(L, 2 Z_y - 1)
 elements and a root table as many as its order; either one over
@@ -71,30 +71,6 @@ def af_pair(a, b, r, tau, nu):
         ai, bi = a[-tau:], b[: L + tau]
         t = np.arange(-tau, L, dtype=np.int64)
     e = ((R // r) * (ai - bi) + (R // L) * nu * t) % R
-    return complex(_roots(R)[e].sum())
-
-
-def af_flock(C1, C2, tau, nu, r):
-    """Flock-level ambiguity: the sum of the M per-sequence values.
-
-    C1 and C2 are (M, L) exponent arrays sharing r.
-    """
-    C1 = np.asarray(C1, dtype=np.int64)
-    C2 = np.asarray(C2, dtype=np.int64)
-    if C1.shape != C2.shape or C1.ndim != 2:
-        raise ShapeMismatchError("flocks differ in shape: %s vs %s" % (C1.shape, C2.shape))
-    L = C1.shape[1]
-    if abs(tau) >= L:
-        return 0j
-    nu = int(nu) % L
-    R = math.lcm(int(r), L)
-    if tau >= 0:
-        ai, bi = C1[:, : L - tau], C2[:, tau:]
-        t = np.arange(0, L - tau, dtype=np.int64)
-    else:
-        ai, bi = C1[:, -tau:], C2[:, : L + tau]
-        t = np.arange(-tau, L, dtype=np.int64)
-    e = ((R // r) * (ai - bi) + (R // L) * nu * t[None, :]) % R
     return complex(_roots(R)[e].sum())
 
 

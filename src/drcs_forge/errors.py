@@ -30,15 +30,6 @@ class CapExceededError(DrcsForgeError):
     pass
 
 
-class SpecMismatchError(DrcsForgeError):
-    """Operands belong to different field specs."""
-    pass
-
-
-class ZeroToNegativePowerError(DrcsForgeError):
-    pass
-
-
 class C1ViolatedError(DrcsForgeError):
     """A C2 check was asked about a rectangle that fails C1."""
     pass

@@ -1,54 +1,71 @@
-"""Exact arithmetic in GF(p^n) with primitive-element machinery.
+"""The GF(p^n) machinery behind the quasi-Florentine rectangle builder.
 
-Elements are coefficient vectors over Z_p (length n, low degree first).
-A FieldSpec pins down the modulus polynomial; all arithmetic reduces by
-it. The embedding psi sends a coefficient vector to its base-p integer
-encoding, which is how field elements become rectangle symbols.
+A FieldSpec pins down GF(p^n) by a monic primitive polynomial, found
+by a deterministic search, and gives the table of powers of its root
+alpha as coefficient vectors over Z_p (low degree first). The builder
+reads rectangle symbols off that table. This module also holds the
+package's one trial-division loop, which factors orders and tests
+primes for the rectangle and Butson layers.
 """
 
 import numpy as np
 
-from .errors import (
-    CapExceededError,
-    InvariantError,
-    NonPrimeError,
-    ParamsOutOfRangeError,
-    SpecMismatchError,
-    ZeroToNegativePowerError,
-)
+from .errors import CapExceededError, InvariantError, NonPrimeError, ParamsOutOfRangeError
 
 # Above this the exp/log tables stop being a desk-scale object.
 FIELD_CAP = 1 << 20
 
+# Largest number trial division is asked to factor: at most 2^19 odd
+# divisors to try, a fraction of a second.
+TRIAL_DIVISION_CAP = 1 << 40
+
+
+def smallest_prime_factor(N):
+    """The smallest prime dividing N >= 2, by trial division."""
+    if N < 2:
+        raise ParamsOutOfRangeError("need N >= 2, got %d" % N)
+    if N > TRIAL_DIVISION_CAP:
+        raise ParamsOutOfRangeError(
+            "%d is over the trial-division cap of 2^40" % N)
+    if N % 2 == 0:
+        return 2
+    d = 3
+    while d * d <= N:
+        if N % d == 0:
+            return d
+        d += 2
+    return N
+
 
 def is_prime(m):
-    if m < 2:
-        return False
-    if m < 4:
-        return True
-    if m % 2 == 0:
-        return False
-    d = 3
-    while d * d <= m:
-        if m % d == 0:
-            return False
-        d += 2
-    return True
+    return m >= 2 and smallest_prime_factor(m) == m
 
 
 def _prime_factors(m):
-    """Distinct prime divisors of m by trial division (m is desk scale)."""
+    """Distinct prime divisors of m, in ascending order."""
     out = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            out.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        out.append(m)
+    while m > 1:
+        d = smallest_prime_factor(m)
+        out.append(d)
+        while m % d == 0:
+            m //= d
     return out
+
+
+def check_field(p, n):
+    """p^n, once p is prime, n >= 1 and p^n <= FIELD_CAP; raises otherwise.
+
+    n is compared with the cap before p^n is computed, so a huge n
+    costs nothing.
+    """
+    if not is_prime(p):
+        raise NonPrimeError("p = %d is not prime" % p)
+    if n < 1:
+        raise ParamsOutOfRangeError("extension degree must be >= 1, got %d" % n)
+    if n >= FIELD_CAP.bit_length() or p ** n > FIELD_CAP:  # p^n >= 2^n
+        raise CapExceededError("GF(%d^%d) is over the %d-element table cap"
+                               % (p, n, FIELD_CAP))
+    return p ** n
 
 
 def _mul_mod_poly(a, b, p, poly):
@@ -112,71 +129,12 @@ def _alpha_order_is_full(p, n, poly):
     return True
 
 
-class FieldElem:
-    """An element of GF(p^n) as a length-n coefficient tuple over Z_p."""
-
-    __slots__ = ("spec", "coeffs")
-
-    def __init__(self, spec, coeffs):
-        coeffs = tuple(int(c) % spec.p for c in coeffs)
-        if len(coeffs) != spec.n:
-            raise SpecMismatchError(
-                "element has %d coefficients, field needs %d" % (len(coeffs), spec.n)
-            )
-        self.spec = spec
-        self.coeffs = coeffs
-
-    def __add__(self, other):
-        self._check(other)
-        p = self.spec.p
-        return FieldElem(self.spec, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        self._check(other)
-        p = self.spec.p
-        return FieldElem(self.spec, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __mul__(self, other):
-        self._check(other)
-        return FieldElem(
-            self.spec, _mul_mod_poly(self.coeffs, other.coeffs, self.spec.p, self.spec.poly)
-        )
-
-    def __pow__(self, e):
-        return ff_pow(self, e)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldElem)
-            and self.spec == other.spec
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.spec.p, self.spec.n, self.spec.poly, self.coeffs))
-
-    def __repr__(self):
-        return "FieldElem(GF(%d^%d), %r)" % (self.spec.p, self.spec.n, list(self.coeffs))
-
-    def _check(self, other):
-        if not isinstance(other, FieldElem) or other.spec != self.spec:
-            raise SpecMismatchError("operands belong to different field specs")
-
-    def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
-
-
 class FieldSpec:
     """GF(p^n) defined by a monic primitive polynomial (low-to-high coeffs)."""
 
     def __init__(self, p, n, poly):
         p, n = int(p), int(n)
-        if not is_prime(p):
-            raise NonPrimeError("p = %d is not prime" % p)
-        if n < 1:
-            raise ParamsOutOfRangeError("extension degree must be >= 1, got %d" % n)
-        if p ** n > FIELD_CAP:
-            raise CapExceededError("p^n = %d exceeds the %d table cap" % (p ** n, FIELD_CAP))
+        check_field(p, n)
         poly = tuple(int(c) % p for c in poly)
         if len(poly) != n + 1 or poly[-1] != 1:
             raise InvariantError("modulus must be monic of degree n (got %r)" % (poly,))
@@ -191,58 +149,19 @@ class FieldSpec:
     def order(self):
         return self.p ** self.n
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldSpec)
-            and (self.p, self.n, self.poly) == (other.p, other.n, other.poly)
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.n, self.poly))
-
     def __repr__(self):
         return "FieldSpec(p=%d, n=%d, poly=%r)" % (self.p, self.n, list(self.poly))
-
-    def element(self, coeffs):
-        return FieldElem(self, coeffs)
-
-    def zero(self):
-        return FieldElem(self, (0,) * self.n)
-
-    def one(self):
-        return FieldElem(self, (1,) + (0,) * (self.n - 1))
-
-    def alpha(self):
-        """The root of the modulus polynomial, a generator of the unit group."""
-        if self.n == 1:
-            return FieldElem(self, ((-self.poly[0]) % self.p,))
-        return FieldElem(self, tuple(1 if i == 1 else 0 for i in range(self.n)))
-
-    def from_index(self, i):
-        """Inverse of psi: decode a base-p integer into an element."""
-        i = int(i)
-        if not 0 <= i < self.order:
-            raise ParamsOutOfRangeError("index %d outside [0, %d)" % (i, self.order))
-        digits = []
-        for _ in range(self.n):
-            digits.append(i % self.p)
-            i //= self.p
-        return FieldElem(self, digits)
-
-    def elements(self):
-        for i in range(self.order):
-            yield self.from_index(i)
 
     def power_digits(self):
         """(p^n - 1) x n array; row j holds the coefficients of alpha^j.
 
-        Cached: this is the log/antilog backbone used by the rectangle
-        builder and the table-multiplication cross-check.
+        Cached and read-only: the rectangle builder reads its symbols
+        off this table.
         """
         if self._exp_digits is None:
             q = self.order
             digits = np.zeros((q - 1, self.n), dtype=np.int64)
-            cur = self.one().coeffs
+            cur = (1,) + (0,) * (self.n - 1)
             for j in range(q - 1):
                 digits[j] = cur
                 cur = _times_x(cur, self.p, self.poly)
@@ -250,17 +169,8 @@ class FieldSpec:
             self._exp_digits.setflags(write=False)
         return self._exp_digits
 
-    def exp_table(self):
-        """psi(alpha^j) for j in [0, p^n - 1), as an int64 array."""
-        weights = self.p ** np.arange(self.n, dtype=np.int64)
-        return self.power_digits() @ weights
-
     def to_json(self):
         return {"p": self.p, "n": self.n, "poly": list(self.poly)}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(obj["p"], obj["n"], obj["poly"])
 
 
 def find_primitive_polynomial(p, n):
@@ -271,12 +181,7 @@ def find_primitive_polynomial(p, n):
     GF(2) on x+1.
     """
     p, n = int(p), int(n)
-    if not is_prime(p):
-        raise NonPrimeError("p = %d is not prime" % p)
-    if n < 1:
-        raise ParamsOutOfRangeError("extension degree must be >= 1, got %d" % n)
-    if p ** n > FIELD_CAP:
-        raise CapExceededError("p^n = %d exceeds the %d table cap" % (p ** n, FIELD_CAP))
+    check_field(p, n)
 
     # Odometer over (c0, ..., c_{n-1}); c0 != 0 or x would divide the modulus.
     coeffs = [0] * n
@@ -291,40 +196,3 @@ def find_primitive_polynomial(p, n):
         if i < 0:
             raise InvariantError("no primitive polynomial found for GF(%d^%d)" % (p, n))
         coeffs[i] += 1
-
-
-def ff_add(a, b):
-    return a + b
-
-
-def ff_mul(a, b):
-    return a * b
-
-
-def ff_pow(base, e):
-    """base^e with the usual conventions: a^0 = 1, 0^e = 0 for e > 0."""
-    e = int(e)
-    spec = base.spec
-    if base.is_zero():
-        if e < 0:
-            raise ZeroToNegativePowerError("cannot raise zero to a negative power")
-        return spec.one() if e == 0 else spec.zero()
-    group = spec.order - 1
-    e %= group  # alpha^group = 1 for any nonzero base
-    acc = spec.one()
-    cur = base
-    while e:
-        if e & 1:
-            acc = acc * cur
-        cur = cur * cur
-        e >>= 1
-    return acc
-
-
-def psi(a):
-    """Base-p positional encoding of the coefficient vector; a bijection
-    onto [0, p^n)."""
-    total = 0
-    for c in reversed(a.coeffs):
-        total = total * a.spec.p + c
-    return total

@@ -8,9 +8,12 @@ per row, so C2 is checked on one position table: two rows share an
 ordered pair at one step exactly when two of their common symbols have
 the same shift between the rows. Rectangles combine through a base-N1
 product that multiplies alphabets and column counts while keeping the
-minimum of the two row counts.
+minimum of the two row counts. One table, FAMILIES, lists the named
+product families; both their builds and their closed-form sizes read it.
+Builders refuse a table of more than TABLE_CAP entries before making it.
 """
 
+import collections
 import importlib.resources
 import itertools
 import json
@@ -30,18 +33,7 @@ from .errors import (
     json_int_array,
     json_object,
 )
-from .finite_field import find_primitive_polynomial, is_prime
-
-
-def smallest_prime_factor(N):
-    if N < 2:
-        raise ParamsOutOfRangeError("need N >= 2, got %d" % N)
-    d = 2
-    while d * d <= N:
-        if N % d == 0:
-            return d
-        d += 1
-    return N
+from .finite_field import check_field, find_primitive_polynomial, smallest_prime_factor
 
 
 class Rectangle:
@@ -262,6 +254,18 @@ def coincidence_count(R, i, p, tau):
 
 # --- builders ---
 
+# Most entries a builder puts in one table: 32 MiB of int64. It admits
+# every catalog rectangle (121 x 15000 the largest) and field
+# rectangles up to order 2048.
+TABLE_CAP = 1 << 22
+
+
+def _check_table(rows, cols, what):
+    if rows * cols > TABLE_CAP:
+        raise ParamsOutOfRangeError("%s would hold %d x %d entries, over the cap of %d"
+                                    % (what, rows, cols, TABLE_CAP))
+
+
 def build_circular_florentine(N):
     """Rows (i+1)*j mod N for i < p-1, p the smallest prime factor of N.
 
@@ -270,7 +274,9 @@ def build_circular_florentine(N):
     N = int(N)
     if N < 2:
         raise ParamsOutOfRangeError("need N >= 2, got %d" % N)
+    _check_table(1, N, "circular Florentine rectangle")  # before factoring N
     p = smallest_prime_factor(N)
+    _check_table(p - 1, N, "circular Florentine rectangle")
     j = np.arange(N, dtype=np.int64)
     i = np.arange(1, p, dtype=np.int64)
     rows = (i[:, None] * j[None, :]) % N
@@ -285,8 +291,9 @@ def build_circular_quasi_florentine(p, n):
     encoding. Each column also carries p^n distinct entries, which the
     extended builder below relies on.
     """
+    q = check_field(p, n)
+    _check_table(q, q - 1, "quasi-Florentine rectangle")
     fs = find_primitive_polynomial(p, n)
-    q = fs.order
     digits = fs.power_digits()          # (q-1) x n, row j = coeffs of alpha^j
     w = fs.p ** np.arange(fs.n, dtype=np.int64)
     rows = np.empty((q, q - 1), dtype=np.int64)
@@ -311,8 +318,9 @@ def build_extended_quasi_florentine(p, n):
     survive (wrapped steps place p^n on the left), hence the linear
     classification.
     """
+    q = check_field(p, n)
+    _check_table(q, q, "extended quasi-Florentine rectangle")
     base = build_circular_quasi_florentine(p, n)
-    q = base.N
     extra = np.full((q, 1), q, dtype=np.int64)
     rows = np.hstack([base.rows, extra])
     return Rectangle(
@@ -350,6 +358,9 @@ def product_construct(A, B):
     Z_{N2}; the result is min(rows) x (n*m) over Z_{N1*N2} and passes
     linear C2. Decoding an output entry mod/div N1 recovers the factors.
     """
+    _check_table(min(A.nrows, B.nrows), A.ncols * B.ncols, "product")
+    if A.N * B.N > 2 ** 63:
+        raise ParamsOutOfRangeError("product alphabet %d x %d does not fit int64" % (A.N, B.N))
     if not verify_c1(A):
         raise PreconditionError("left factor fails C1")
     if not verify_c1(B):
@@ -380,18 +391,70 @@ def product_construct(A, B):
 
 # --- parameterized product families ---
 
-FAMILY_NAMES = (
-    "florentine_x_primepower",
-    "florentine_x_primepower_plus_one",
-    "primepower_x_florentine",
-    "primepower_x_primepower",
-    "primepower_x_primepower_plus_one",
-)
+# A factor kind: its closed-form (rows, alphabet, columns), its builder,
+# and the c that removes no column when it is the right factor.
+Factor = collections.namedtuple("Factor", "dims build c_offset")
 
 
-def _require_prime(p):
-    if not is_prime(p):
-        raise ParamsOutOfRangeError("p = %d is not prime" % p)
+def _florentine_dims(N1):
+    return smallest_prime_factor(N1) - 1, N1, N1
+
+
+def _field_dims(p, n):
+    q = check_field(p, n)
+    return q, q, q - 1
+
+
+def _field_plus_one_dims(p, n):
+    q = check_field(p, n)
+    return q, q + 1, q
+
+
+FLORENTINE = Factor(_florentine_dims, build_circular_florentine, 0)
+FIELD = Factor(_field_dims, build_circular_quasi_florentine, 1)
+FIELD_PLUS_ONE = Factor(_field_plus_one_dims, build_extended_quasi_florentine, 1)
+
+# name: (left factor, its parameter names, right factor, its parameter names)
+FAMILIES = {
+    "florentine_x_primepower": (FLORENTINE, ("N1",), FIELD, ("p", "n")),
+    "florentine_x_primepower_plus_one": (FLORENTINE, ("N1",), FIELD_PLUS_ONE, ("p", "n")),
+    "primepower_x_florentine": (FIELD, ("p", "n"), FLORENTINE, ("N1",)),
+    "primepower_x_primepower": (FIELD, ("p", "n"), FIELD, ("p1", "n1")),
+    "primepower_x_primepower_plus_one": (FIELD, ("p", "n"), FIELD_PLUS_ONE, ("p1", "n1")),
+}
+
+
+def _family(family, params):
+    """Resolve a family's parameters into (params as ints, closed-form
+    (rows, alphabet, columns), a function building the two factors).
+
+    Unknown families and missing, extra or non-integer parameters raise
+    ParamsOutOfRangeError, and each factor runs its builder's checks.
+    Truncation keeps at least two columns of the right factor.
+    """
+    if not isinstance(family, str) or family not in FAMILIES:
+        raise ParamsOutOfRangeError(
+            "unknown family %r (choose from %s)" % (family, ", ".join(FAMILIES))
+        )
+    left, left_names, right, right_names = FAMILIES[family]
+    names = left_names + right_names + ("c",)
+    if set(params) != set(names):
+        raise ParamsOutOfRangeError("family %s takes %s, got %s"
+                                    % (family, ", ".join(names), ", ".join(sorted(params))))
+    args = {k: json_int(params[k], k, ParamsOutOfRangeError) for k in names}
+    left_args = [args[k] for k in left_names]
+    right_args = [args[k] for k in right_names]
+    rows1, alphabet1, cols1 = left.dims(*left_args)
+    rows2, alphabet2, cols2 = right.dims(*right_args)
+    removed = args["c"] - right.c_offset
+    if not 0 <= removed <= cols2 - 2:
+        raise ParamsOutOfRangeError("need %d <= c <= %d, got c = %d"
+                                    % (right.c_offset, right.c_offset + cols2 - 2, args["c"]))
+
+    def factors():
+        return left.build(*left_args), truncate_columns(right.build(*right_args), removed)
+
+    return args, (min(rows1, rows2), alphabet1 * alphabet2, cols1 * (cols2 - removed)), factors
 
 
 def product_family(family, **params):
@@ -404,97 +467,23 @@ def product_family(family, **params):
     counts symbols missing from the right factor's alphabet, so c = 1
     (or c = 0 against a Florentine factor) means no truncation.
     """
-    if family == "florentine_x_primepower":
-        N1, p, n, c = params["N1"], params["p"], params["n"], params["c"]
-        _require_prime(p)
-        if not 1 <= c < p ** n - 1:
-            raise ParamsOutOfRangeError("need 1 <= c < p^n - 1, got c = %d" % c)
-        A = build_circular_florentine(N1)
-        B = truncate_columns(build_circular_quasi_florentine(p, n), c - 1)
-    elif family == "florentine_x_primepower_plus_one":
-        N1, p, n, c = params["N1"], params["p"], params["n"], params["c"]
-        _require_prime(p)
-        if not 1 <= c < p ** n:
-            raise ParamsOutOfRangeError("need 1 <= c < p^n, got c = %d" % c)
-        A = build_circular_florentine(N1)
-        B = truncate_columns(build_extended_quasi_florentine(p, n), c - 1)
-    elif family == "primepower_x_florentine":
-        p, n, N1, c = params["p"], params["n"], params["N1"], params["c"]
-        _require_prime(p)
-        if not 0 <= c < N1 - 1:
-            raise ParamsOutOfRangeError("need 0 <= c < N1 - 1, got c = %d" % c)
-        A = build_circular_quasi_florentine(p, n)
-        B = truncate_columns(build_circular_florentine(N1), c)
-    elif family == "primepower_x_primepower":
-        p, n, p1, n1, c = params["p"], params["n"], params["p1"], params["n1"], params["c"]
-        _require_prime(p)
-        _require_prime(p1)
-        if not 1 <= c < p1 ** n1 - 1:
-            raise ParamsOutOfRangeError("need 1 <= c < p1^n1 - 1, got c = %d" % c)
-        A = build_circular_quasi_florentine(p, n)
-        B = truncate_columns(build_circular_quasi_florentine(p1, n1), c - 1)
-    elif family == "primepower_x_primepower_plus_one":
-        p, n, p1, n1, c = params["p"], params["n"], params["p1"], params["n1"], params["c"]
-        _require_prime(p)
-        _require_prime(p1)
-        if not 1 <= c < p1 ** n1:
-            raise ParamsOutOfRangeError("need 1 <= c < p1^n1, got c = %d" % c)
-        A = build_circular_quasi_florentine(p, n)
-        B = truncate_columns(build_extended_quasi_florentine(p1, n1), c - 1)
-    else:
-        raise ParamsOutOfRangeError(
-            "unknown family %r (choose from %s)" % (family, ", ".join(FAMILY_NAMES))
-        )
-    D = product_construct(A, B)
+    args, (K, _, L), factors = _family(family, params)
+    _check_table(K, L, "product family %s" % family)
+    D = product_construct(*factors())
     D.provenance["family"] = family
-    D.provenance["params"] = dict(params)
+    D.provenance["params"] = args
     return D
 
 
 def family_dimensions(family, **params):
     """(rows, alphabet, columns) of product_family output, closed form.
 
-    Shares the range checks with product_family so infeasible parameter
-    sets fail identically, but never materializes the rectangles; the
-    asymptotic checker walks parameter ladders through here.
+    Refuses the parameter sets product_family refuses, with the same
+    errors, except that it never builds the rectangles and so sizes
+    tables over TABLE_CAP too; the asymptotic checker walks parameter
+    ladders through here.
     """
-    if family == "florentine_x_primepower":
-        N1, p, n, c = params["N1"], params["p"], params["n"], params["c"]
-        _require_prime(p)
-        if not 1 <= c < p ** n - 1:
-            raise ParamsOutOfRangeError("need 1 <= c < p^n - 1, got c = %d" % c)
-        return min(smallest_prime_factor(N1) - 1, p ** n), N1 * p ** n, N1 * (p ** n - c)
-    if family == "florentine_x_primepower_plus_one":
-        N1, p, n, c = params["N1"], params["p"], params["n"], params["c"]
-        _require_prime(p)
-        if not 1 <= c < p ** n:
-            raise ParamsOutOfRangeError("need 1 <= c < p^n, got c = %d" % c)
-        q1 = p ** n + 1
-        return min(smallest_prime_factor(N1) - 1, p ** n), N1 * q1, N1 * (q1 - c)
-    if family == "primepower_x_florentine":
-        p, n, N1, c = params["p"], params["n"], params["N1"], params["c"]
-        _require_prime(p)
-        if not 0 <= c < N1 - 1:
-            raise ParamsOutOfRangeError("need 0 <= c < N1 - 1, got c = %d" % c)
-        return min(p ** n, smallest_prime_factor(N1) - 1), N1 * p ** n, (N1 - c) * (p ** n - 1)
-    if family == "primepower_x_primepower":
-        p, n, p1, n1, c = params["p"], params["n"], params["p1"], params["n1"], params["c"]
-        _require_prime(p)
-        _require_prime(p1)
-        if not 1 <= c < p1 ** n1 - 1:
-            raise ParamsOutOfRangeError("need 1 <= c < p1^n1 - 1, got c = %d" % c)
-        return min(p ** n, p1 ** n1), p ** n * p1 ** n1, (p ** n - 1) * (p1 ** n1 - c)
-    if family == "primepower_x_primepower_plus_one":
-        p, n, p1, n1, c = params["p"], params["n"], params["p1"], params["n1"], params["c"]
-        _require_prime(p)
-        _require_prime(p1)
-        if not 1 <= c < p1 ** n1:
-            raise ParamsOutOfRangeError("need 1 <= c < p1^n1, got c = %d" % c)
-        q1 = p1 ** n1 + 1
-        return min(p ** n, p1 ** n1), p ** n * q1, (p ** n - 1) * (q1 - c)
-    raise ParamsOutOfRangeError(
-        "unknown family %r (choose from %s)" % (family, ", ".join(FAMILY_NAMES))
-    )
+    return _family(family, params)[1]
 
 
 # --- exhaustive search at tiny N ---

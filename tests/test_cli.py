@@ -1,5 +1,6 @@
 import json
 import os
+import time
 import tracemalloc
 
 import pytest
@@ -504,6 +505,67 @@ def test_grid_over_cap_refused(tmp_path, capsys, monkeypatch, argv):
 def test_eval_root_order_over_cap_refused(tmp_path, capsys):
     sset = _long_set(tmp_path, 4, r=2 ** 40)
     code, out, err = _run_small(capsys, "drcs", "eval", sset)
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "ParamsOutOfRangeError"
+
+
+BIG_PRIME = 2 ** 61 - 1
+
+
+def _run_quick(capsys, *argv):
+    """_run_small() that also asserts the call took under 2 s."""
+    t0 = time.perf_counter()
+    result = _run_small(capsys, *argv)
+    assert time.perf_counter() - t0 < 2
+    return result
+
+
+@pytest.mark.parametrize("argv, code, error", [
+    (["circular-florentine", str(BIG_PRIME)], 3, "ParamsOutOfRangeError"),
+    (["circular-florentine", "2053"], 3, "ParamsOutOfRangeError"),
+    (["circular-qfr", str(BIG_PRIME), "1"], 3, "ParamsOutOfRangeError"),
+    (["circular-qfr", "3", "1000000"], 2, "CapExceededError"),
+    (["circular-qfr", "3", "100000000"], 2, "CapExceededError"),
+    (["circular-qfr", "2", "21"], 2, "CapExceededError"),
+    (["circular-qfr", "2", "12"], 3, "ParamsOutOfRangeError"),
+    (["extended-qfr", "2", "12"], 3, "ParamsOutOfRangeError"),
+    (["extended-qfr", str(BIG_PRIME), "1"], 3, "ParamsOutOfRangeError"),
+], ids=["florentine_huge_prime", "florentine_over_table_cap", "qfr_huge_prime",
+        "qfr_n_1e6", "qfr_n_1e8", "qfr_over_field_cap", "qfr_over_table_cap",
+        "extended_over_table_cap", "extended_huge_prime"])
+def test_rect_builder_refusals(capsys, argv, code, error):
+    got, out, err = _run_quick(capsys, "rect", *argv)
+    assert got == code and out == ""
+    assert json.loads(err)["error"] == error
+
+
+@pytest.mark.parametrize("argv", [["bh", "verify"], ["bh", "load"],
+                                  ["drcs", "build", "rect.json"]],
+                         ids=["bh_verify", "bh_load", "drcs_build"])
+def test_root_order_past_trial_division_refused(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "rect.json").write_text(json.dumps({"N": 2, "n": 2, "rows": [[0, 1]]}))
+    (tmp_path / "bh.json").write_text(
+        json.dumps({"N": 2, "r": BIG_PRIME, "exps": [[0, 0], [0, 1]]}))
+    code, out, err = _run_quick(capsys, *argv, "bh.json")
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "ParamsOutOfRangeError"
+
+
+def test_rect_product_over_table_cap_refused(tmp_path, capsys):
+    # two valid single-row rectangles whose product is 1 x 10^10
+    path = tmp_path / "row.json"
+    n = 10 ** 5
+    path.write_text(json.dumps({"N": n, "n": n, "rows": [list(range(n))]}))
+    t0 = time.perf_counter()
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "rect", "product", str(path), str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - t0 < 2
+    assert peak < 32 * 2 ** 20
     assert code == 3 and out == ""
     assert json.loads(err)["error"] == "ParamsOutOfRangeError"
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from drcs_forge.ambiguity import af_flock
+from drcs_forge.ambiguity import af_grid
 from drcs_forge.drcs import DrcsSet, Zone, build_drcs, export_drcs, import_drcs
 from drcs_forge.errors import (
     OrderMismatchError,
@@ -128,12 +128,15 @@ class TestFlockProperties:
         # complementary autos cancel off the origin; cross terms are
         # either 0 or a full flock-size peak in magnitude
         M, L = set8.M, set8.L
+        zone = Zone(L, L)
+        auto = af_grid(set8.flock(0), set8.flock(0), zone, set8.r, method="naive")
+        cross = af_grid(set8.flock(0), set8.flock(5), zone, set8.r, method="naive")
         for tau in range(-(L - 1), L):
             for nu in range(-(L - 1), L):
-                v_auto = af_flock(set8.flock(0), set8.flock(0), tau, nu, set8.r)
+                v_auto = auto.value(tau, nu)
                 if (tau, nu) == (0, 0):
                     assert abs(v_auto - M * L) < 1e-9
                 else:
                     assert abs(v_auto) < 1e-6
-                v_cross = af_flock(set8.flock(0), set8.flock(5), tau, nu, set8.r)
+                v_cross = cross.value(tau, nu)
                 assert min(abs(abs(v_cross) - M), abs(v_cross)) < 1e-6

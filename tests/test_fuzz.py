@@ -1,5 +1,5 @@
 """Hypothesis fuzz of the CLI's inputs: the three JSON loaders (rectangle,
-Butson table, set) and pipeline configs.
+Butson table, set), the rectangle builders and pipeline configs.
 
 Every drawn input must end in exit 0, 2, 3 or 4 and never in a
 traceback. A failure prints a JSON error payload on stderr; only a
@@ -139,6 +139,31 @@ def test_butson_loader(doc, command):
 @settings(max_examples=150, deadline=None)
 def test_set_loader(doc, command):
     _fuzz(doc, command)
+
+
+# builder arguments: small ones build; the sampled ones lie over the
+# table cap, the field cap or the trial-division cap, or are not prime
+BUILDER_INT = st.integers(-1, 7) | st.sampled_from(
+    [12, 21, 2053, 4097, 2 ** 22 + 1, 2 ** 40 + 1, 2 ** 61 - 1, 10 ** 8, 10 ** 30])
+DEGREE = st.integers(-1, 3) | st.sampled_from([12, 21, 10 ** 6, 10 ** 8])
+WIDTH = st.integers(1, 6) | st.sampled_from([3000, 10 ** 5])
+
+
+@given(st.sampled_from(["circular-florentine", "circular-qfr", "extended-qfr", "product"]),
+       BUILDER_INT, DEGREE, WIDTH, WIDTH)
+@settings(max_examples=100, deadline=None)
+def test_rectangle_builders(builder, p, n, width_a, width_b):
+    with _scratch_dir():
+        if builder == "circular-florentine":
+            argv = ["rect", builder, str(p)]
+        elif builder == "product":
+            for name, w in (("a.json", width_a), ("b.json", width_b)):
+                with open(name, "w") as fh:
+                    json.dump({"N": w, "n": w, "rows": [list(range(w))]}, fh)
+            argv = ["rect", builder, "a.json", "b.json"]
+        else:
+            argv = ["rect", builder, str(p), str(n)]
+        check_outcome(argv, *run_cli(argv))
 
 
 # words of valid steps, with numbers small enough that no builder they

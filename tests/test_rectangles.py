@@ -1,18 +1,24 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from drcs_forge.bounds import asymptotic_check
 from drcs_forge.errors import (
     C1ViolatedError,
     CapExceededError,
+    DrcsForgeError,
     ParamsOutOfRangeError,
     PreconditionError,
     SameRowError,
     SchemaError,
     TooManyColumnsRemovedError,
 )
-from drcs_forge.oracles import definition_literal_c2
+from drcs_forge.oracles import CATALOG_RECTANGLE_FAMILIES, definition_literal_c2
 from drcs_forge.rectangles import (
+    TABLE_CAP,
     Rectangle,
     build_circular_florentine,
     build_circular_quasi_florentine,
@@ -239,6 +245,12 @@ class TestProduct:
         with pytest.raises(PreconditionError):
             product_construct(bad, Rectangle(2, [[0, 1]]))
 
+    def test_alphabet_past_int64_refused(self):
+        # found by the rectangle-loader fuzz: an OverflowError traceback
+        A = Rectangle(2 ** 63, [[0, 1], [1, 2]])
+        with pytest.raises(ParamsOutOfRangeError):
+            product_construct(A, A)
+
     def test_round_trip_decode(self, rect_a7, rect_b9, rect_d63):
         for i in range(6):
             for j in range(56):
@@ -277,6 +289,117 @@ class TestFamilies:
             product_family("no_such_family", N1=7)
         with pytest.raises(ParamsOutOfRangeError):
             family_dimensions("primepower_x_florentine", p=3, n=1, N1=7, c=6)
+
+
+# each family's parameters, listed apart from the family table
+FAMILY_PARAMS = {
+    "florentine_x_primepower": ("N1", "p", "n", "c"),
+    "florentine_x_primepower_plus_one": ("N1", "p", "n", "c"),
+    "primepower_x_florentine": ("p", "n", "N1", "c"),
+    "primepower_x_primepower": ("p", "n", "p1", "n1", "c"),
+    "primepower_x_primepower_plus_one": ("p", "n", "p1", "n1", "c"),
+}
+# mostly valid, and small enough that a product stays under 16k entries
+_prime = st.sampled_from([2, 3, 5]) | st.sampled_from([2, 3]) | st.integers(-1, 6)
+_degree = st.integers(1, 2) | st.integers(1, 2) | st.integers(-1, 3)
+SMALL_PARAM = {"N1": st.integers(2, 30) | st.integers(-1, 30), "p": _prime, "p1": _prime,
+               "n": _degree, "n1": _degree, "c": st.integers(0, 6) | st.integers(-2, 30)}
+
+
+@st.composite
+def family_params(draw):
+    family = draw(st.sampled_from(sorted(FAMILY_PARAMS)))
+    return family, {k: draw(SMALL_PARAM[k]) for k in FAMILY_PARAMS[family]}
+
+
+class TestFamilyTable:
+    @given(family_params())
+    @settings(max_examples=300, deadline=None)
+    def test_build_matches_closed_form(self, drawn):
+        family, params = drawn
+        try:
+            dims = family_dimensions(family, **params)
+        except DrcsForgeError as exc:
+            with pytest.raises(DrcsForgeError) as info:
+                product_family(family, **params)
+            assert type(info.value) is type(exc)
+            return
+        D = product_family(family, **params)
+        assert (D.nrows, D.N, D.ncols) == dims
+        assert verify_c2(D, circular=False)
+
+    def test_catalog_rows_build_to_printed_sizes(self):
+        for row in CATALOG_RECTANGLE_FAMILIES:
+            if row["N"] > 3904:
+                continue
+            D = product_family(row["family"], **row["params"])
+            assert (D.nrows, D.N, D.ncols) == (row["rows"], row["N"], row["L"])
+            assert D.provenance["params"] == row["params"]
+            assert verify_c2(D, circular=False)
+
+    @pytest.mark.parametrize("params", [
+        {"N1": 7, "p": 3, "n": 2},
+        {"N1": 7, "p": 3, "n": 2, "c": 1, "k": 0},
+        {"N1": 7.5, "p": 3, "n": 2, "c": 1},
+        {"N1": 7, "p": 3, "n": 2, "c": True},
+    ], ids=["missing", "extra", "float", "bool"])
+    def test_malformed_params_refused(self, params):
+        for fn in (product_family, family_dimensions):
+            with pytest.raises(ParamsOutOfRangeError):
+                fn("florentine_x_primepower", **params)
+        with pytest.raises(ParamsOutOfRangeError):
+            asymptotic_check("florentine_x_primepower", [params])
+
+    def test_zero_degree_refused_by_both(self):
+        for fn in (product_family, family_dimensions):
+            with pytest.raises(ParamsOutOfRangeError):
+                fn("primepower_x_florentine", N1=7, p=3, n=0, c=1)
+
+    def test_provenance_holds_ints(self):
+        D = product_family("primepower_x_florentine", p=np.int64(3), n=1, N1=7, c=0)
+        assert D.provenance["params"] == {"p": 3, "n": 1, "N1": 7, "c": 0}
+        assert type(D.provenance["params"]["p"]) is int
+
+
+class TestTableCap:
+    def test_admits_the_largest_catalog_rectangle(self):
+        # the N = 15246 row of the prime-power product table
+        D = product_family("primepower_x_primepower_plus_one", p=11, n=2, p1=5, n1=3, c=1)
+        assert (D.nrows, D.ncols, D.N) == (121, 15000, 15246)
+        assert 2048 * 2048 <= TABLE_CAP
+
+    @pytest.mark.parametrize("build, args", [
+        (build_circular_florentine, (2053,)),
+        (build_circular_florentine, (TABLE_CAP + 1,)),
+        (build_circular_florentine, (2 ** 61 - 1,)),
+        (build_circular_quasi_florentine, (2, 12)),
+        (build_circular_quasi_florentine, (2053, 1)),
+        (build_extended_quasi_florentine, (2, 12)),
+    ], ids=["florentine_2053", "florentine_past_cap", "florentine_huge",
+            "qfr_4096", "qfr_2053", "extended_4096"])
+    def test_builders_refuse_over_cap(self, build, args):
+        with pytest.raises(ParamsOutOfRangeError):
+            build(*args)
+
+    def test_product_refused_before_allocating(self):
+        row = Rectangle(10 ** 5, [np.arange(10 ** 5)])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParamsOutOfRangeError):
+                product_construct(row, row)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    def test_family_refused_before_building(self):
+        # 1024 x 1023 factors, 1024 x 1023^2 product
+        t0 = time.perf_counter()
+        with pytest.raises(ParamsOutOfRangeError):
+            product_family("primepower_x_primepower", p=2, n=10, p1=2, n1=10, c=1)
+        assert time.perf_counter() - t0 < 0.5
+        assert family_dimensions("primepower_x_primepower", p=2, n=10, p1=2, n1=10,
+                                 c=1) == (1024, 2 ** 20, 1023 * 1023)
 
 
 class TestCoincidence:
