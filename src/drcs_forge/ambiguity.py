@@ -96,21 +96,54 @@ class AfGrid:
         return np.abs(self.values)
 
 
+# elements of the naive path's per-block temporaries: shifts are taken
+# as many at a time as keep the M x shifts x L gathers this small
+_NAIVE_BLOCK = 1 << 16
+
+
+@functools.lru_cache(maxsize=4)
+def _naive_tables(L, Z_x, Z_y):
+    """The arrays _grid_naive needs for one shape, built once and frozen:
+    cols[i, t] = t + tau clipped into [0, L) for tau = i - Z_x + 1,
+    inside marks where t + tau lies in [0, L), single lists the shifts
+    with exactly one such t, and W[t, nu] = w_L^((nu t) mod L)."""
+    t = np.arange(L)
+    u = t + np.arange(-Z_x + 1, Z_x)[:, None]
+    inside = (u >= 0) & (u < L)
+    cols = np.clip(u, 0, L - 1)
+    single = np.flatnonzero(inside.sum(axis=1) == 1)
+    W = _roots(L)[np.outer(t, np.arange(-Z_y + 1, Z_y)) % L]
+    for a in (cols, inside, single, W):
+        a.setflags(write=False)
+    return cols, inside, single, W
+
+
 def _grid_naive(C1, C2, zone, r):
     """Direct DFT of the lag lines, independent of the fft path: the line
-    at shift tau is g(t) = sum_m w_r^((C1[m, t] - C2[m, t + tau]) mod r),
-    summed from integer exponent differences and zero where t + tau
+    at shift tau is g(t) = sum_m w_r^(C1[m, t] - C2[m, t + tau]), summed
+    in m order from integer exponent differences and zero where t + tau
     leaves [0, L). The grid is G @ W with W[t, nu] = w_L^((nu t) mod L).
-    One tau at a time, so no temporary exceeds O(M L)."""
-    L = C1.shape[1]
+
+    Both flocks are reduced mod r once, so every difference lies in
+    (-r, r) and indexes the root table directly. Lines are built for a
+    block of shifts at a time, no temporary over _NAIVE_BLOCK elements
+    (or one shift's M x L). A line with a single term is summed on its
+    own, as an M x 1 column, which numpy adds pairwise and not in m
+    order; that keeps each line's bits independent of the blocking."""
+    M, L = C1.shape
     w = _roots(r)
-    G = np.zeros((2 * zone.Z_x - 1, L), dtype=np.complex128)
-    for i, tau in enumerate(range(-zone.Z_x + 1, zone.Z_x)):
-        lo, hi = max(-tau, 0), min(L, L - tau)
-        if lo < hi:
-            G[i, lo:hi] = w[(C1[:, lo:hi] - C2[:, lo + tau : hi + tau]) % r].sum(axis=0)
-    nus = np.arange(-zone.Z_y + 1, zone.Z_y)
-    W = _roots(L)[np.outer(np.arange(L), nus) % L]
+    C1 = C1 % r
+    C2 = C2 % r
+    cols, inside, single, W = _naive_tables(L, zone.Z_x, zone.Z_y)
+    G = np.empty(cols.shape, dtype=np.complex128)
+    step = max(1, _NAIVE_BLOCK // (M * L))
+    for i in range(0, len(cols), step):
+        lines = w[C1[:, None, :] - C2[:, cols[i : i + step]]].sum(axis=0)
+        G[i : i + step] = np.where(inside[i : i + step], lines, 0)
+    for i in single.tolist():
+        t = int(np.flatnonzero(inside[i])[0])
+        u = int(cols[i, t])
+        G[i, t] = w[C1[:, t : t + 1] - C2[:, u : u + 1]].sum(axis=0)[0]
     return G @ W
 
 

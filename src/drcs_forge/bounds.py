@@ -16,6 +16,7 @@ reports keep both namings side by side so nothing gets transposed.
 """
 
 import math
+from collections.abc import Mapping
 
 from .errors import InfeasibleError, ParamsOutOfRangeError
 from .rectangles import family_dimensions
@@ -121,6 +122,9 @@ def asymptotic_check(family, rungs):
         raise ParamsOutOfRangeError("need at least one rung")
     rows = []
     for rung in rungs:
+        if not isinstance(rung, Mapping) or not all(isinstance(k, str) for k in rung):
+            raise ParamsOutOfRangeError("each rung must be a mapping of parameter names, "
+                                        "got %r" % (rung,))
         if family == "custom":
             try:
                 K, N, L = rung["K"], rung["N"], rung["L"]

@@ -11,7 +11,6 @@ import argparse
 import contextlib
 import functools
 import io
-import json
 import os
 import sys
 
@@ -26,6 +25,8 @@ from .errors import (
     ParamsOutOfRangeError,
     ParseError,
     json_text,
+    read_json,
+    write_json,
 )
 from .hadamard import PhaseMatrix, dft_matrix, kronecker, load_seed, verify_bh, walsh_hadamard
 from .rectangles import (
@@ -42,54 +43,48 @@ from .rectangles import (
 )
 
 
-def _dump(obj):
-    return json_text(obj) + "\n"
-
-
-def _write(text, out=None):
+def _write(write, out=None):
+    """Call write(fh) on the file out, or on stdout when out is None."""
     if out:
         try:
             with open(out, "w") as fh:
-                fh.write(text)
+                write(fh)
         except OSError as exc:
             raise ParseError("cannot write %s: %s" % (out, exc)) from None
     else:
-        sys.stdout.write(text)
+        write(sys.stdout)
 
 
 def _emit(obj, out=None):
-    _write(_dump(obj), out)
+    """Write obj as a JSON artifact; tables may be integer arrays."""
+    _write(functools.partial(write_json, obj), out)
 
 
-def _read_json(path):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ParseError("cannot read %s: %s" % (path, exc)) from None
-    except json.JSONDecodeError as exc:
-        raise ParseError("malformed JSON in %s: %s" % (path, exc)) from None
+def _emit_table(T, out=None):
+    """Write a Rectangle or PhaseMatrix as to_json() would give it, the
+    table passed to the writer as the array itself."""
+    _emit(T._fields(T.rows if isinstance(T, Rectangle) else T.exps), out)
 
 
 def _load_rect(path):
-    return Rectangle.from_json(_read_json(path))
+    return Rectangle.read(path)[0]
 
 
 # --- rect ---
 
 def cmd_rect(args):
     if args.rect_cmd == "circular-florentine":
-        _emit(build_circular_florentine(args.N).to_json(), args.out)
+        _emit_table(build_circular_florentine(args.N), args.out)
     elif args.rect_cmd == "circular-qfr":
-        _emit(build_circular_quasi_florentine(args.p, args.n).to_json(), args.out)
+        _emit_table(build_circular_quasi_florentine(args.p, args.n), args.out)
     elif args.rect_cmd == "extended-qfr":
-        _emit(build_extended_quasi_florentine(args.p, args.n).to_json(), args.out)
+        _emit_table(build_extended_quasi_florentine(args.p, args.n), args.out)
     elif args.rect_cmd == "truncate":
         R = truncate_columns(_load_rect(args.file), args.k, args.side)
-        _emit(R.to_json(), args.out)
+        _emit_table(R, args.out)
     elif args.rect_cmd == "product":
         D = product_construct(_load_rect(args.fileA), _load_rect(args.fileB))
-        _emit(D.to_json(), args.out)
+        _emit_table(D, args.out)
     elif args.rect_cmd == "verify":
         R = _load_rect(args.file)
         out = {"N": R.N, "rows": R.nrows, "cols": R.ncols, "circular": args.circular}
@@ -109,7 +104,7 @@ def cmd_rect(args):
     elif args.rect_cmd == "search":
         R, cert = search_max_rows(args.N, args.n, circular=args.circular,
                                   row_cap=args.row_cap)
-        _emit({"rectangle": R.to_json(), "certificate": cert}, args.out)
+        _emit({"rectangle": R._fields(R.rows), "certificate": cert}, args.out)
     return 0
 
 
@@ -117,18 +112,18 @@ def cmd_rect(args):
 
 def cmd_bh(args):
     if args.bh_cmd == "dft":
-        _emit(dft_matrix(args.N).to_json(), args.out)
+        _emit_table(dft_matrix(args.N), args.out)
     elif args.bh_cmd == "walsh":
-        _emit(walsh_hadamard(args.m).to_json(), args.out)
+        _emit_table(walsh_hadamard(args.m), args.out)
     elif args.bh_cmd == "kron":
         if len(args.files) < 2:
             raise ParamsOutOfRangeError("kron needs at least two files")
         mats = [load_seed(f) for f in args.files]
-        _emit(functools.reduce(kronecker, mats).to_json(), args.out)
+        _emit_table(functools.reduce(kronecker, mats), args.out)
     elif args.bh_cmd == "load":
-        _emit(load_seed(args.file).to_json(), args.out)
+        _emit_table(load_seed(args.file), args.out)
     elif args.bh_cmd == "verify":
-        B = PhaseMatrix.from_json(_read_json(args.file))
+        B = PhaseMatrix.read(args.file)[0]
         ok = verify_bh(B)
         _emit({"N": B.N, "r": B.r, "butson": ok}, args.out)
         return 0 if ok else 2
@@ -176,7 +171,7 @@ def cmd_drcs(args):
         if args.out:
             export_drcs(S, args.out)
         else:
-            _emit(S.to_json())
+            _emit(S._fields(S.flocks))
         return 0
     if args.drcs_cmd == "eval":
         S = import_drcs(args.set)
@@ -201,7 +196,8 @@ def cmd_drcs(args):
         row = "%d %d %d %d %d %.4f %.4f %.4f" % (
             br.K, br.M, br.N_len, br.Z_x, br.Z_y, br.theta, br.bound, br.rho
         )
-        _write(header + "\n" + row + "\n", args.out)
+        text = header + "\n" + row + "\n"
+        _write(lambda fh: fh.write(text), args.out)
         return 0
     if args.drcs_cmd == "grid":
         S = import_drcs(args.set)
@@ -236,7 +232,7 @@ def cmd_pipeline(args):
     path = os.path.realpath(args.config)
     if path in args.pipelines:
         raise ParseError("pipeline config %s runs itself" % args.config)
-    cfg = _read_json(args.config)
+    cfg = read_json(args.config, ParseError)
     steps = cfg.get("steps") if isinstance(cfg, dict) else None
     if not isinstance(steps, list) or not all(isinstance(s, list) for s in steps):
         raise ParseError("pipeline config needs a steps list of argv lists")
@@ -370,7 +366,7 @@ def _run(args, pipelines):
     try:
         return _DISPATCH[args.cmd](args)
     except DrcsForgeError as exc:
-        sys.stderr.write(_dump(exc.payload()))
+        sys.stderr.write(json_text(exc.payload()) + "\n")
         return exc.exit_code
 
 

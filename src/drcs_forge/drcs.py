@@ -7,9 +7,6 @@ matrix of order N: sequence m of flock k reads column m of the Butson
 row selected by rectangle entry a[k][n].
 """
 
-import hashlib
-import json
-
 import numpy as np
 
 from .errors import (
@@ -23,7 +20,8 @@ from .errors import (
     json_int,
     json_int_array,
     json_object,
-    json_text,
+    load_artifact,
+    write_json,
 )
 from .hadamard import verify_bh
 from .rectangles import verify_c1, verify_c2
@@ -148,31 +146,22 @@ def build_drcs(A, B):
 def export_drcs(S, path):
     """Write the set losslessly as JSON: the text of S.to_json(), made
     from the exponent array without converting it to lists first."""
-    data = json_text(S._fields(S.flocks))
     try:
         with open(path, "w") as fh:
-            fh.write(data)
-            fh.write("\n")
+            write_json(S._fields(S.flocks), fh)
     except OSError as exc:
         raise ParseError("cannot write %s: %s" % (path, exc)) from None
 
 
-def import_drcs(path):
-    """Read a set back; shape declarations must match the payload."""
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-        obj = json.loads(raw)
-    except OSError as exc:
-        raise SchemaError("cannot read %s: %s" % (path, exc)) from None
-    except json.JSONDecodeError as exc:
-        raise SchemaError("malformed JSON in %s: %s" % (path, exc)) from None
+def _set_from_json(obj, bools=True):
+    """The set a parsed set object holds; shape declarations must match
+    the payload."""
     try:
         flocks, r = obj["flocks"], obj["r"]
         zone = obj.get("zone")
     except (KeyError, TypeError) as exc:
         raise SchemaError("set JSON needs flocks, r: %s" % exc) from None
-    flocks = json_int_array(flocks, "flocks", SchemaError)
+    flocks = json_int_array(flocks, "flocks", SchemaError, bools)
     r = json_int(r, "r", SchemaError)
     if zone:
         if not isinstance(zone, list) or len(zone) != 2:
@@ -186,7 +175,12 @@ def import_drcs(path):
     if declared != flocks.shape:
         raise SchemaError("declared shape %s != payload shape %s" % (declared, flocks.shape))
     prov = json_object(obj.get("provenance"), "provenance", SchemaError) or {"source": "external"}
-    if "source" not in prov:
-        prov = dict(prov)
-        prov["source"] = {"path": str(path), "sha256": hashlib.sha256(raw).hexdigest()}
     return DrcsSet(flocks, r, zone, prov)
+
+
+def import_drcs(path):
+    """Read a set back; shape declarations must match the payload. A
+    provenance without a source gets the file's path and sha256."""
+    S, sha = load_artifact(path, "set", _set_from_json, SchemaError)
+    S.provenance.setdefault("source", {"path": str(path), "sha256": sha})
+    return S

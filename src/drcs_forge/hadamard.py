@@ -9,8 +9,6 @@ exponent differences instead), for composite r it is a tolerance test.
 Builders refuse orders above ORDER_CAP before allocating anything.
 """
 
-import hashlib
-import json
 import math
 
 import numpy as np
@@ -23,6 +21,7 @@ from .errors import (
     json_int,
     json_int_array,
     json_object,
+    load_artifact,
 )
 from .finite_field import is_prime
 
@@ -66,26 +65,35 @@ class PhaseMatrix:
         return np.exp(2j * np.pi * np.arange(self.r) / self.r)[self.exps]
 
     def to_json(self):
-        return {
-            "N": self.N,
-            "r": self.r,
-            "exps": self.exps.tolist(),
-            "provenance": self.provenance,
-        }
+        return self._fields(self.exps.tolist())
+
+    def _fields(self, exps):
+        """to_json with the table given as exps: a list, or the array
+        itself for the JSON writer."""
+        return {"N": self.N, "r": self.r, "exps": exps, "provenance": self.provenance}
 
     @classmethod
-    def from_json(cls, obj):
+    def from_json(cls, obj, bools=True):
+        """The table a parsed {N, r, exps} object holds; bools as in
+        errors.json_int_array."""
         try:
             N, r, exps = obj["N"], obj["r"], obj["exps"]
         except (KeyError, TypeError) as exc:
             raise ParseError("seed JSON needs N, r, exps: %s" % exc) from None
         N = json_int(N, "N", ParseError)
         r = json_int(r, "r", ParseError)
-        exps = json_int_array(exps, "exps", ParseError)
+        exps = json_int_array(exps, "exps", ParseError, bools)
         try:
             return cls(N, r, exps, json_object(obj.get("provenance"), "provenance", ParseError))
         except InvariantError as exc:
             raise ParseError(str(exc)) from None
+
+    @classmethod
+    def read(cls, path):
+        """(table, sha256 of the file's bytes) for a {N, r, exps} JSON
+        file, unverified; parsed once per process while cached (see
+        errors.load_artifact)."""
+        return load_artifact(path, "bh", cls.from_json, ParseError)
 
 
 # Largest order a builder makes: the int64 exponent table is 0.5 GB and
@@ -224,16 +232,8 @@ def verify_bh(B):
 
 def load_seed(path):
     """Load and verify an exponent table from a {N, r, exps} JSON file."""
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-        obj = json.loads(raw)
-    except OSError as exc:
-        raise ParseError("cannot read %s: %s" % (path, exc)) from None
-    except json.JSONDecodeError as exc:
-        raise ParseError("malformed JSON in %s: %s" % (path, exc)) from None
-    B = PhaseMatrix.from_json(obj)
+    B, sha = PhaseMatrix.read(path)
     if not verify_bh(B):
         raise UnitarityError("matrix in %s is not Butson-type" % path)
-    B.provenance.setdefault("source", {"path": str(path), "sha256": hashlib.sha256(raw).hexdigest()})
+    B.provenance.setdefault("source", {"path": str(path), "sha256": sha})
     return B

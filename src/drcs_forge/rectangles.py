@@ -25,6 +25,7 @@ from .errors import (
     CapExceededError,
     InvariantError,
     ParamsOutOfRangeError,
+    ParseError,
     PreconditionError,
     SameRowError,
     SchemaError,
@@ -32,6 +33,7 @@ from .errors import (
     json_int,
     json_int_array,
     json_object,
+    load_artifact,
 )
 from .finite_field import check_field, find_primitive_polynomial, smallest_prime_factor
 
@@ -75,26 +77,36 @@ class Rectangle:
         return "Rectangle(N=%d, %dx%d)" % (self.N, self.nrows, self.ncols)
 
     def to_json(self):
-        return {
-            "N": self.N,
-            "n": self.ncols,
-            "rows": self.rows.tolist(),
-            "provenance": self.provenance,
-        }
+        return self._fields(self.rows.tolist())
+
+    def _fields(self, rows):
+        """to_json with the table given as rows: a list, or the array
+        itself for the JSON writer."""
+        return {"N": self.N, "n": self.ncols, "rows": rows, "provenance": self.provenance}
 
     @classmethod
-    def from_json(cls, obj):
+    def from_json(cls, obj, bools=True):
+        """The rectangle a parsed {N, n, rows} object holds; bools as in
+        errors.json_int_array."""
         try:
             N, n, rows = obj["N"], obj["n"], obj["rows"]
         except (KeyError, TypeError) as exc:
             raise SchemaError("rectangle JSON needs N, n, rows: %s" % exc) from None
         N = json_int(N, "N", SchemaError)
         n = json_int(n, "n", SchemaError)
-        rows = json_int_array(rows, "rows", SchemaError)
+        rows = json_int_array(rows, "rows", SchemaError, bools)
         rect = cls(N, rows, json_object(obj.get("provenance"), "provenance", SchemaError))
         if rect.ncols != n:
             raise SchemaError("declared n=%d but rows have %d columns" % (n, rect.ncols))
         return rect
+
+    @classmethod
+    def read(cls, path):
+        """(rectangle, sha256 of the file's bytes) for a JSON file; parsed
+        once per process while cached (see errors.load_artifact). A file
+        that cannot be read or parsed raises ParseError, a bad field
+        SchemaError."""
+        return load_artifact(path, "rect", cls.from_json, ParseError)
 
 
 def load_fixture(name):

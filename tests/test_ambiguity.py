@@ -144,6 +144,34 @@ class TestGrid:
             want = naive_flock_af(C1.tolist(), C2.tolist(), r, tau, nu)
             assert abs(g.value(tau, nu) - want) <= 1e-12 * M * L
 
+    @pytest.mark.parametrize("block", [1, 7, 1 << 16])
+    @pytest.mark.parametrize("M, L, zone, r", [
+        (16, 15, (15, 15), 16),   # lines with one term at |tau| = L - 1
+        (9, 12, (14, 5), 7),      # shifts past L
+        (20, 6, (3, 6), 5),
+        (1, 1, (1, 1), 2),
+        (12, 1, (2, 1), 3),
+    ], ids=["full_zone", "past_L", "inner_zone", "one_by_one", "L_1"])
+    def test_naive_blocks_give_the_per_shift_bits(self, monkeypatch, block, M, L, zone, r):
+        """Blocking the shifts changes no bit of the naive grid: each lag
+        line is summed as the one-shift-at-a-time loop below sums it,
+        including the single-term lines numpy adds pairwise."""
+        rng = np.random.default_rng(M * L + r)
+        C1 = rng.integers(-3 * r, 3 * r, size=(M, L))
+        C2 = rng.integers(-3 * r, 3 * r, size=(M, L))
+        Z = Zone(*zone)
+        w = ambiguity._roots(r)
+        G = np.zeros((2 * Z.Z_x - 1, L), dtype=np.complex128)
+        for i, tau in enumerate(range(-Z.Z_x + 1, Z.Z_x)):
+            lo, hi = max(-tau, 0), min(L, L - tau)
+            if lo < hi:
+                G[i, lo:hi] = w[(C1[:, lo:hi] - C2[:, lo + tau : hi + tau]) % r].sum(axis=0)
+        nus = np.arange(-Z.Z_y + 1, Z.Z_y)
+        want = G @ ambiguity._roots(L)[np.outer(np.arange(L), nus) % L]
+        monkeypatch.setattr(ambiguity, "_NAIVE_BLOCK", block)
+        got = af_grid(C1, C2, Z, r, method="naive").values
+        assert got.tobytes() == want.tobytes()
+
     def test_naive_needs_no_fft(self, monkeypatch):
         C1, C2 = _edge_flocks(4, 12, 6)
         want = af_grid(C1, C2, Zone(12, 7), 6, method="naive").values

@@ -120,6 +120,13 @@ class TestAsymptotic:
         with pytest.raises(ParamsOutOfRangeError):
             asymptotic_check("mystery_family", [{"N1": 7}])
 
+    @pytest.mark.parametrize("family", ["florentine_x_primepower", "custom"])
+    @pytest.mark.parametrize("rung", [[1, 2], "N1", 7, None, {1: 2}],
+                             ids=["list", "str", "int", "none", "int_key"])
+    def test_rung_that_is_not_a_mapping_is_refused(self, family, rung):
+        with pytest.raises(ParamsOutOfRangeError):
+            asymptotic_check(family, [rung])
+
     def test_rho_column_matches_direct_formula(self):
         out = asymptotic_check("custom", [{"K": 6, "N": 63, "L": 56}])
         row = out["rungs"][0]

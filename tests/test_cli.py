@@ -7,6 +7,12 @@ import pytest
 
 from drcs_forge import cli
 from drcs_forge.cli import main
+from drcs_forge.hadamard import dft_matrix, walsh_hadamard
+from drcs_forge.rectangles import (
+    build_circular_florentine,
+    build_circular_quasi_florentine,
+    build_extended_quasi_florentine,
+)
 
 DESK_PIPELINE = os.path.join(os.path.dirname(__file__), "data", "pipeline_desk.json")
 
@@ -568,6 +574,96 @@ def test_rect_product_over_table_cap_refused(tmp_path, capsys):
     assert peak < 32 * 2 ** 20
     assert code == 3 and out == ""
     assert json.loads(err)["error"] == "ParamsOutOfRangeError"
+
+
+def _desk_tables(tmp_path, capsys):
+    rect, bh = str(tmp_path / "rect.json"), str(tmp_path / "bh.json")
+    assert run(capsys, "rect", "circular-qfr", "3", "2", "--out", rect)[0] == 0
+    assert run(capsys, "bh", "dft", "9", "--out", bh)[0] == 0
+    return rect, bh
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["bh", "load", "{bad}"], "ParseError"),
+    (["bh", "verify", "{bad}"], "ParseError"),
+    (["bh", "kron", "{bh}", "{bad}"], "ParseError"),
+    (["rect", "verify", "{bad}"], "ParseError"),
+    (["rect", "product", "{rect}", "{bad}"], "ParseError"),
+    (["drcs", "build", "{bad}", "{bh}"], "ParseError"),
+    (["drcs", "build", "{rect}", "{bad}"], "ParseError"),
+    (["drcs", "eval", "{bad}"], "SchemaError"),
+    (["drcs", "grid", "{bad}", "--pair", "0", "0", "--out", "g.csv"], "SchemaError"),
+    (["pipeline", "{bad}"], "ParseError"),
+], ids=["bh_load", "bh_verify", "bh_kron", "rect_verify", "rect_product", "build_rect",
+        "build_bh", "eval", "grid", "pipeline"])
+def test_undecodable_file_exits_4(tmp_path, capsys, argv, error):
+    """A file that is not UTF-8, -16 or -32 gets exit 4 and a JSON
+    payload, not a UnicodeDecodeError traceback."""
+    rect, bh = _desk_tables(tmp_path, capsys)
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff")
+    argv = [a.format(bad=bad, rect=rect, bh=bh) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 4 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == error
+    assert "cannot decode" in payload["message"]
+
+
+@pytest.mark.parametrize("encoding", ["utf-16", "utf-16-le", "utf-32"])
+def test_utf16_and_utf32_inputs_are_read(tmp_path, capsys, encoding):
+    rect, bh = _desk_tables(tmp_path, capsys)
+    for path in (rect, bh):
+        with open(path, "rb") as fh:
+            data = fh.read().decode()
+        with open(path, "wb") as fh:
+            fh.write(data.encode(encoding))
+    assert run(capsys, "bh", "verify", bh)[0] == 0
+    assert run(capsys, "rect", "verify", rect)[0] == 0
+    sset = str(tmp_path / "set.json")
+    assert run(capsys, "drcs", "build", rect, bh, "--out", sset)[0] == 0
+    cfg = tmp_path / "steps.json"
+    cfg.write_bytes(json.dumps({"steps": [["drcs", "eval", sset]]}).encode(encoding))
+    code, out, _ = run(capsys, "pipeline", str(cfg))
+    assert code == 0 and json.loads(out)["theta"]["zone"] == [8, 8]
+
+
+@pytest.mark.parametrize("argv, edit, error", [
+    (["bh", "verify"], lambda o: o["exps"][1].__setitem__(1, True), "ParseError"),
+    (["rect", "verify"], lambda o: o["rows"][0].__setitem__(1, False), "SchemaError"),
+    (["drcs", "eval"], lambda o: o["flocks"][1][0].__setitem__(0, True), "SchemaError"),
+], ids=["bh_exps", "rect_rows", "set_flocks"])
+def test_utf16_boolean_in_a_table_refused(tmp_path, capsys, argv, edit, error):
+    """The loaders look for booleans in the decoded text, so a UTF-16
+    file, whose bytes never spell true, still has them refused."""
+    if argv[0] == "bh":
+        obj = {"N": 2, "r": 2, "exps": [[0, 0], [0, 1]]}
+    elif argv[0] == "rect":
+        obj = {"N": 3, "n": 2, "rows": [[0, 1], [1, 2]]}
+    else:
+        obj = _set_json(tmp_path, capsys)
+    edit(obj)
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(json.dumps(obj).encode("utf-16"))
+    code, out, err = run(capsys, *argv, str(bad))
+    assert code == 4 and out == ""
+    assert json.loads(err)["error"] == error
+
+
+@pytest.mark.parametrize("argv, make", [
+    (["rect", "circular-qfr", "3", "2"], lambda: build_circular_quasi_florentine(3, 2)),
+    (["rect", "circular-florentine", "7"], lambda: build_circular_florentine(7)),
+    (["rect", "extended-qfr", "3", "2"], lambda: build_extended_quasi_florentine(3, 2)),
+    (["bh", "dft", "12"], lambda: dft_matrix(12)),
+    (["bh", "walsh", "3"], lambda: walsh_hadamard(3)),
+], ids=["circular_qfr", "florentine", "extended_qfr", "dft", "walsh"])
+def test_builder_stdout_is_json_dumps_of_to_json(tmp_path, capsys, argv, make):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == json.dumps(make().to_json(), sort_keys=True, indent=1) + "\n"
+    path = tmp_path / "out.json"
+    assert run(capsys, *argv, "--out", str(path))[0] == 0
+    assert path.read_text() == out
 
 
 def test_missing_input_file(capsys, tmp_path):

@@ -1,20 +1,23 @@
+import io
 import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes
 
-from drcs_forge import ambiguity, bounds
-from drcs_forge.drcs import Zone, build_drcs, export_drcs
+from drcs_forge import ambiguity, bounds, errors
+from drcs_forge.drcs import Zone, build_drcs, export_drcs, import_drcs
 from drcs_forge.errors import (
     ParseError,
     SchemaError,
     json_int_array,
     json_object,
     json_text,
+    write_json,
 )
-from drcs_forge.hadamard import dft_matrix, walsh_hadamard
-from drcs_forge.rectangles import build_circular_quasi_florentine, search_max_rows
+from drcs_forge.hadamard import PhaseMatrix, dft_matrix, load_seed, walsh_hadamard
+from drcs_forge.rectangles import Rectangle, build_circular_quasi_florentine, search_max_rows
 
 
 def dumps(obj):
@@ -71,6 +74,54 @@ def test_writer_matches_json_dumps_on_drawn_values(obj):
 ], ids=["small_range", "negative", "wide_range", "one", "empty", "empty_axis"])
 def test_writer_takes_integer_arrays_as_lists(arr):
     assert json_text({"a": arr, "b": [arr]}) == dumps({"a": arr.tolist(), "b": [arr.tolist()]})
+
+
+@st.composite
+def int_arrays(draw):
+    """Integer arrays of ndim 1 to 4 (axes of size 1 included) with a
+    narrow value range, so the writer's token table path runs, or, when
+    wide, a range that sends them through tolist."""
+    shape = draw(array_shapes(min_dims=1, max_dims=4, min_side=1, max_side=6))
+    dtype = draw(st.sampled_from([np.int8, np.int32, np.int64]))
+    lo = draw(st.integers(-60, 60))
+    width = draw(st.integers(0, 3))
+    values = draw(st.lists(st.integers(lo, lo + width), min_size=int(np.prod(shape)),
+                           max_size=int(np.prod(shape))))
+    arr = np.array(values, dtype=dtype).reshape(shape)
+    if draw(st.booleans()) and draw(st.booleans()):  # wide range
+        arr = arr.astype(np.int64) * 10**15
+    return arr
+
+
+@st.composite
+def nested_arrays(draw):
+    """An integer array 0 to 3 levels deep inside dicts and lists, and the
+    same value with the array as lists."""
+    arr = draw(int_arrays())
+    obj, ref = arr, arr.tolist()
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            key = draw(st.text(max_size=3))
+            obj, ref = {key: obj, "é": -1}, {key: ref, "é": -1}
+        else:
+            obj, ref = [7, obj, "x"], [7, ref, "x"]
+    return obj, ref
+
+
+@given(nested_arrays(), st.sampled_from([1, 2, 3, 7, 1 << 16]))
+@settings(max_examples=300, deadline=None)
+def test_writer_matches_json_dumps_on_drawn_arrays(pair, block):
+    obj, ref = pair
+    saved = errors._BLOCK
+    errors._BLOCK = block
+    try:
+        text = json_text(obj)
+        fh = io.StringIO()
+        write_json(obj, fh)
+    finally:
+        errors._BLOCK = saved
+    assert text == dumps(ref)
+    assert fh.getvalue() == text + "\n"
 
 
 @pytest.mark.parametrize("obj", [np.int64(3), [np.int64(3)], {1, 2}, np.array(3),
@@ -142,3 +193,120 @@ def test_object_field():
     for bad in ("x", [["a", 1]], 3):
         with pytest.raises(SchemaError):
             json_object(bad, "provenance", SchemaError)
+
+
+# -- the artifact loader and its cache --
+
+def test_rewritten_file_gives_the_new_content(tmp_path):
+    path = tmp_path / "t.json"
+    path.write_text(dumps(dft_matrix(3).to_json()))
+    assert PhaseMatrix.read(str(path))[0] == dft_matrix(3)
+    path.write_text(dumps(dft_matrix(4).to_json()))
+    B, sha = PhaseMatrix.read(str(path))
+    assert B == dft_matrix(4)
+    assert sha == errors.hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_returned_provenance_is_a_copy(tmp_path):
+    path = tmp_path / "s.json"
+    export_drcs(build_drcs(build_circular_quasi_florentine(2, 2), walsh_hadamard(2)), str(path))
+    S = import_drcs(str(path))
+    want = json.loads(json.dumps(S.provenance))
+    S.provenance["extra"] = 1
+    S.provenance["source"]["path"] = "elsewhere"
+    S.provenance["rectangle"]["builder"] = "changed"
+    again = import_drcs(str(path))
+    assert again.provenance == want
+    assert again.flocks is S.flocks  # the array is shared, read-only
+    assert not again.flocks.flags.writeable
+
+
+def test_seed_load_and_table_read_share_one_entry(tmp_path, monkeypatch):
+    path = tmp_path / "t.json"
+    path.write_text(dumps(dft_matrix(6).to_json()))
+    parses = []
+    real = PhaseMatrix.from_json.__func__
+    monkeypatch.setattr(PhaseMatrix, "from_json",
+                        classmethod(lambda cls, *a: parses.append(1) or real(cls, *a)))
+    B, _ = PhaseMatrix.read(str(path))
+    assert "source" not in B.provenance
+    assert load_seed(str(path)).provenance["source"]["path"] == str(path)
+    assert len(parses) == 1
+
+
+@pytest.mark.parametrize("text, error", [
+    ("{not json", ParseError),
+    ('{"N": 2, "r": 2, "exps": [[0, 0], [0, 1.5]]}', ParseError),
+], ids=["malformed", "bad_field"])
+def test_failed_load_raises_every_time(tmp_path, text, error):
+    path = tmp_path / "t.json"
+    path.write_text(text)
+    for _ in range(3):
+        with pytest.raises(error):
+            PhaseMatrix.read(str(path))
+    path.write_text(dumps(dft_matrix(2).to_json()))
+    assert PhaseMatrix.read(str(path))[0] == dft_matrix(2)
+    path.write_text(text)
+    with pytest.raises(error):
+        PhaseMatrix.read(str(path))
+
+
+def test_same_bytes_under_another_path_keep_their_own_source(tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    text = dumps(dft_matrix(3).to_json())
+    a.write_text(text)
+    b.write_text(text)
+    Ba, Bb = load_seed(str(a)), load_seed(str(b))
+    assert Ba.provenance["source"]["path"] == str(a)
+    assert Bb.provenance["source"]["path"] == str(b)
+    assert Ba.provenance["source"]["sha256"] == Bb.provenance["source"]["sha256"]
+
+
+def test_cache_stays_within_its_byte_bound(tmp_path, monkeypatch):
+    monkeypatch.setattr(errors, "_cache", errors.collections.OrderedDict())
+    monkeypatch.setattr(errors, "CACHE_BYTES", 3 * 16 * 16 * 8)  # three 16 x 16 tables
+    for i in range(6):
+        path = tmp_path / ("t%d.json" % i)
+        path.write_text(dumps(dft_matrix(16).to_json() | {"provenance": {"i": i}}))
+        assert PhaseMatrix.read(str(path))[0].provenance == {"i": i}
+        held = sum(size for _, size in errors._cache.values())
+        assert 0 < held <= errors.CACHE_BYTES
+    assert [k[1] for k in errors._cache] == [str(tmp_path / ("t%d.json" % i)) for i in (3, 4, 5)]
+    big = tmp_path / "big.json"
+    big.write_text(dumps(dft_matrix(28).to_json()))  # 6272 bytes, over the bound
+    assert PhaseMatrix.read(str(big))[0] == dft_matrix(28)
+    assert len(errors._cache) == 3 and str(big) not in [k[1] for k in errors._cache]
+
+
+@pytest.mark.parametrize("encoding", ["utf-8", "utf-16", "utf-16-le", "utf-32"])
+def test_true_in_a_string_does_not_let_a_boolean_through(tmp_path, encoding):
+    """The boolean walk is skipped only when the decoded text holds no
+    true or false; one inside a provenance string keeps it on."""
+    path = tmp_path / "t.json"
+    bad = {"N": 2, "r": 2, "exps": [[0, 0], [0, True]], "provenance": {"note": "true"}}
+    path.write_bytes(json.dumps(bad).encode(encoding))
+    with pytest.raises(ParseError):
+        PhaseMatrix.read(str(path))
+    del bad["provenance"]
+    path.write_bytes(json.dumps(bad).encode(encoding))
+    with pytest.raises(ParseError):
+        PhaseMatrix.read(str(path))
+    good = {"N": 2, "r": 2, "exps": [[0, 0], [0, 1]], "provenance": {"note": "true"}}
+    path.write_bytes(json.dumps(good).encode(encoding))
+    assert PhaseMatrix.read(str(path))[0].provenance == {"note": "true"}
+
+
+@pytest.mark.parametrize("data", [b"\xff", b'{"N": 1, "r": 1, "exps": [[0]], "x": "\xe9"}',
+                                  "[1]".encode("utf-16-le") + b"\x00"],
+                         ids=["ff", "latin1", "odd_utf16"])
+def test_undecodable_bytes_raise_the_loaders_error(tmp_path, data):
+    path = tmp_path / "t.json"
+    path.write_bytes(data)
+    with pytest.raises(ParseError, match="cannot decode"):
+        PhaseMatrix.read(str(path))
+    with pytest.raises(ParseError, match="cannot decode"):
+        Rectangle.read(str(path))
+    with pytest.raises(SchemaError, match="cannot decode"):
+        import_drcs(str(path))
+    with pytest.raises(ParseError, match="cannot decode"):
+        errors.read_json(str(path), ParseError)
