@@ -20,8 +20,12 @@ A grid's largest array holds max(L, 2 Z_x - 1) * max(L, 2 Z_y - 1)
 elements and a root table as many as its order; either one over
 GRID_CAP is refused (exit 3) before anything is allocated.
 
-The CSV writers print every float as "%.17g" and work through a grid in
-blocks of rows, formatting each distinct bit pattern of a block once.
+The CSV writers print every float as "%.17g". Each distinct bit pattern
+of a grid is formatted once, by a numpy kernel that gives the bytes
+"%.17g" gives (the private module _g17, imported on first use), into a
+table of 24 bytes a pattern; the lines are then written a block of rows
+at a time. A writer holds that table, the grid's values as int64 while
+they are sorted, and one block.
 """
 
 import functools
@@ -147,6 +151,13 @@ def _grid_naive(C1, C2, zone, r):
     return G @ W
 
 
+@functools.lru_cache(maxsize=64)
+def _conj_roots(order):
+    w = _roots(order).conj()
+    w.setflags(write=False)
+    return w
+
+
 @functools.lru_cache(maxsize=4)
 def _lag_gather(L, Z_x, Z_y):
     """The index arrays of _grid_fft for one shape, built once and frozen:
@@ -166,14 +177,15 @@ def _lag_gather(L, Z_x, Z_y):
 def _grid_fft(C1, C2, zone, r):
     """Every lag product is a diagonal of P = (w^C1)^T conj(w^C2): the
     line at shift tau is g(t) = P[t, t + tau], zero where t + tau leaves
-    [0, L). All lines go through one inverse DFT along t, scaled by L;
-    nu bins are sampled mod L."""
+    [0, L). All lines go through one inverse DFT along t, scaled by L in
+    place; nu bins are sampled mod L. The root gathers wrap exponents
+    into [0, r), as C % r does, and read conj(w) from a table of its own."""
     L = C1.shape[1]
-    w = _roots(r)
-    P = w[C1 % r].T @ w[C2 % r].conj()
+    P = _roots(r).take(C1, mode="wrap").T @ _conj_roots(r).take(C2, mode="wrap")
     flat, inside, nus = _lag_gather(L, zone.Z_x, zone.Z_y)
-    g = np.where(inside, P.ravel()[flat], 0)
-    return (L * np.fft.ifft(g, axis=1))[:, nus]
+    g = np.fft.ifft(np.where(inside, P.ravel().take(flat), 0), axis=1)
+    g *= L
+    return g.take(nus, axis=1)
 
 
 def af_grid(C1, C2, zone, r, method="naive", kind="cross", pair=None):
@@ -279,52 +291,83 @@ def theta_max(S, zone=None, method="fft"):
 
 # --- grid exports ---
 
-# cells formatted at a time: the CSV writers' string tables stay this
-# small whatever the grid size
+# cells handled at a time: the CSV writers' blocks and the "%.17g"
+# kernel's chunks stay this small whatever the grid size
 _BLOCK_CELLS = 1 << 12
 
 
-def _g17_strings(x):
-    """"%.17g" of each float of the 1-D array x, as an object array. Each
-    distinct bit pattern is formatted once; the patterns are compared as
-    integers, so -0.0 and 0.0, or NaNs of different payloads, keep text
-    of their own."""
-    bits, inv = np.unique(np.ascontiguousarray(x, np.float64).view(np.int64),
-                          return_inverse=True)
-    text = ["%.17g" % v for v in bits.view(np.float64).tolist()]
-    return np.array(text, dtype=object)[inv]
+def _g17_table(*columns):
+    """(text, where) for the float64 arrays columns, taken end to end:
+    text[i] is "%.17g" of the i-th distinct bit pattern among them, as
+    24 NUL-padded bytes, and where holds the int32 index of each value's
+    pattern. Patterns are compared as integers, so -0.0 and 0.0, or NaNs
+    of different payloads, keep text of their own. Each temporary is
+    dropped as soon as it is used, so the peak stays near three int64
+    copies of the values."""
+    from . import _g17  # compiled and set up only by a process that writes CSV
+
+    bits = np.concatenate(columns).view(np.int64)
+    order = np.argsort(bits)
+    bits = bits[order]
+    new = np.empty(bits.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(bits[1:], bits[:-1], out=new[1:])
+    distinct = bits[new].view(np.float64)
+    del bits
+    where = np.empty(order.size, dtype=np.int32)
+    where[order] = np.cumsum(new, dtype=np.int32)
+    where -= 1
+    del order, new
+    return _g17.format_g17(distinct, _BLOCK_CELLS), where
+
+
+def _abs(v):
+    """abs() of each complex value of v: np.hypot, the libm call abs()
+    makes, where both parts and the result are finite; abs() itself
+    elsewhere, so it raises OverflowError wherever abs() would."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.hypot(v.real, v.imag)
+    odd = np.flatnonzero(~(np.isfinite(v.real) & np.isfinite(v.imag) & np.isfinite(out)))
+    out[odd] = [abs(z) for z in v[odd].tolist()]
+    return out
 
 
 def write_cells_csv(grid, fh):
     """One line per lattice cell, tau ascending then nu ascending: tau,
     nu, re, im, abs. Floats print as "%.17g"; abs is Python's abs() of
     the complex value, which can differ from np.abs in the last bit.
-    Written in blocks of whole tau rows."""
+
+    Each distinct bit pattern of the three float columns is formatted
+    once, into a table of 24 bytes a pattern; the lines are then written
+    in blocks of whole tau rows."""
     fh.write("tau,nu,re,im,abs\n")
     Z_x, ny = grid.zone.Z_x, 2 * grid.zone.Z_y - 1
+    v = grid.values.ravel()
+    text, where = _g17_table(v.real, v.imag, _abs(v))
+    where = where.reshape(3, -1)
     # one line per nu; joining them with "tau," puts tau at each line's start
-    lines = [""] + ["%d,%%s,%%s,%%s\n" % nu for nu in range(-grid.zone.Z_y + 1, grid.zone.Z_y)]
+    lines = [b""] + [b"%d,%%s,%%s,%%s\n" % nu for nu in range(-grid.zone.Z_y + 1, grid.zone.Z_y)]
     rows = max(1, _BLOCK_CELLS // ny)
     for i in range(0, 2 * Z_x - 1, rows):
-        v = grid.values[i : i + rows].ravel()
-        n = v.size
-        absv = np.fromiter(map(abs, v.tolist()), np.float64, n)
-        fields = _g17_strings(np.concatenate((v.real, v.imag, absv))).reshape(3, n).T
-        template = "".join(("%d," % tau).join(lines)
-                           for tau in range(i - Z_x + 1, i - Z_x + 1 + n // ny))
-        fh.write(template % tuple(fields.ravel().tolist()))
+        cells = where[:, i * ny : (i + rows) * ny]
+        template = b"".join((b"%d," % tau).join(lines)
+                            for tau in range(i - Z_x + 1, i - Z_x + 1 + cells.shape[1] // ny))
+        fh.write((template % tuple(text[cells.T.ravel()].tolist())).decode("ascii"))
 
 
 def write_magnitude_csv(grid, fh):
     """Rectangular magnitude matrix (np.abs); rows run nu from +max down
     to -max (plot orientation), columns run tau ascending. Floats print
-    as "%.17g". Written in blocks of whole nu rows."""
-    mags = grid.magnitude()[:, ::-1].T
-    rows = max(1, _BLOCK_CELLS // mags.shape[1])
-    for j in range(0, mags.shape[0], rows):
-        block = mags[j : j + rows]
-        fields = _g17_strings(block.ravel()).reshape(block.shape)
-        fh.write("".join(",".join(row) + "\n" for row in fields.tolist()))
+    as "%.17g", each distinct bit pattern formatted once as in
+    write_cells_csv. Written in blocks of whole nu rows."""
+    mags = np.ascontiguousarray(grid.magnitude()[:, ::-1].T)
+    nx = mags.shape[1]
+    text, where = _g17_table(mags.ravel())
+    line = b",".join([b"%s"] * nx) + b"\n"
+    rows = max(1, _BLOCK_CELLS // nx)
+    for j in range(0, where.size, rows * nx):
+        fields = text[where[j : j + rows * nx]].tolist()
+        fh.write(((line * (len(fields) // nx)) % tuple(fields)).decode("ascii"))
 
 
 def write_pgm(grid, fh):

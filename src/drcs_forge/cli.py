@@ -200,6 +200,9 @@ def cmd_drcs(args):
         _write(lambda fh: fh.write(text), args.out)
         return 0
     if args.drcs_cmd == "grid":
+        out = args.out
+        if not out.endswith((".csv", ".pgm")):
+            raise ParamsOutOfRangeError("--out must end in .csv or .pgm")
         S = import_drcs(args.set)
         k1, k2 = args.pair
         if not (0 <= k1 < S.K and 0 <= k2 < S.K):
@@ -207,19 +210,16 @@ def cmd_drcs(args):
         kind = "auto" if k1 == k2 else "cross"
         g = ambiguity.af_grid(S.flock(k1), S.flock(k2), S.zone, S.r, args.method, kind,
                               (k1, k2))
-        out = args.out
         try:
             if out.endswith(".pgm"):
                 with open(out, "wb") as fh:
                     ambiguity.write_pgm(g, fh)
-            elif out.endswith(".csv"):
+            else:
                 with open(out, "w") as fh:
                     if args.matrix:
                         ambiguity.write_magnitude_csv(g, fh)
                     else:
                         ambiguity.write_cells_csv(g, fh)
-            else:
-                raise ParamsOutOfRangeError("--out must end in .csv or .pgm")
         except OSError as exc:
             raise ParseError("cannot write %s: %s" % (out, exc)) from None
         return 0

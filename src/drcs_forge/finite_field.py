@@ -8,6 +8,8 @@ package's one trial-division loop, which factors orders and tests
 primes for the rectangle and Butson layers.
 """
 
+import functools
+
 import numpy as np
 
 from .errors import CapExceededError, InvariantError, NonPrimeError, ParamsOutOfRangeError
@@ -41,15 +43,18 @@ def is_prime(m):
     return m >= 2 and smallest_prime_factor(m) == m
 
 
+@functools.lru_cache(maxsize=64)
 def _prime_factors(m):
-    """Distinct prime divisors of m, in ascending order."""
+    """Distinct prime divisors of m, in ascending order. Memoised: the
+    primitivity test factors the same p^n - 1 for every candidate
+    polynomial of a field."""
     out = []
     while m > 1:
         d = smallest_prime_factor(m)
         out.append(d)
         while m % d == 0:
             m //= d
-    return out
+    return tuple(out)
 
 
 def check_field(p, n):

@@ -511,13 +511,17 @@ def search_max_rows(N, n, circular=False, row_cap=None):
     possible; the search therefore fixes it first and extends with
     strictly lex-increasing rows, pruning the symmetric branches.
     Returns (Rectangle, certificate); certificate["exhaustive"] is False
-    when row_cap stopped a branch from deepening.
+    when row_cap stopped a branch from deepening. A row_cap below 1 is
+    refused: the fixed first row always fits.
     """
     N, n = int(N), int(n)
     if N > SEARCH_CAP:
         raise CapExceededError("exhaustive search capped at N <= %d, got %d" % (SEARCH_CAP, N))
     if not 1 <= n <= N:
         raise ParamsOutOfRangeError("need 1 <= n <= N, got n = %d" % n)
+    if row_cap is not None and row_cap < 1:
+        # the fixed first row is placed before the cap is ever checked
+        raise ParamsOutOfRangeError("row cap must be at least 1, got %d" % row_cap)
 
     cands = list(itertools.permutations(range(N), n))
 

@@ -1,10 +1,12 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from drcs_forge import _g17 as _g17_module
 from drcs_forge import ambiguity
 from drcs_forge.ambiguity import (
     GRID_CAP,
@@ -19,9 +21,14 @@ from drcs_forge.ambiguity import (
 )
 from drcs_forge.drcs import Zone, build_drcs
 from drcs_forge.errors import LengthMismatchError, ParamsOutOfRangeError, ShapeMismatchError
-from drcs_forge.hadamard import walsh_hadamard
+from drcs_forge.hadamard import dft_matrix, walsh_hadamard
 from drcs_forge.oracles import naive_af, naive_correlation, naive_flock_af
-from drcs_forge.rectangles import Rectangle
+from drcs_forge.rectangles import (
+    Rectangle,
+    build_circular_quasi_florentine,
+    build_extended_quasi_florentine,
+    product_construct,
+)
 
 
 @st.composite
@@ -127,7 +134,31 @@ def _edge_flocks(M, L, r):
     return rng.integers(0, r, size=(M, L)), rng.integers(0, r, size=(M, L))
 
 
+def literal_grid_fft(C1, C2, zone, r):
+    """The fft path as first written: root gathers by C % r, a masked
+    gather of the lag lines, and the ifft scaled into a new array."""
+    L = C1.shape[1]
+    w = ambiguity._roots(r)
+    P = w[C1 % r].T @ w[C2 % r].conj()
+    t = np.arange(L)
+    u = t + np.arange(-zone.Z_x + 1, zone.Z_x)[:, None]
+    inside = (u >= 0) & (u < L)
+    g = np.where(inside, P.ravel()[t * L + np.clip(u, 0, L - 1)], 0)
+    return (L * np.fft.ifft(g, axis=1))[:, np.arange(-zone.Z_y + 1, zone.Z_y) % L]
+
+
 class TestGrid:
+    @EDGE_SHAPES
+    @pytest.mark.parametrize("span", [1, 3], ids=["in_range", "wrapped"])
+    def test_fft_equals_literal_bits(self, M, L, zone, r, span):
+        """The wrap-mode root gathers, the zero-padded lag gather and the
+        in-place scaling change no bit, also for exponents that are
+        negative or at least r."""
+        rng = np.random.default_rng(M * L * r)
+        C1, C2 = rng.integers(-(span - 1) * r, span * r, size=(2, M, L))
+        got = af_grid(C1, C2, Zone(*zone), r, method="fft").values
+        assert got.tobytes() == literal_grid_fft(C1, C2, Zone(*zone), r).tobytes()
+
     @EDGE_SHAPES
     def test_naive_equals_fft(self, M, L, zone, r):
         C1, C2 = _edge_flocks(M, L, r)
@@ -394,7 +425,110 @@ def drawn_grids(draw):
     return AfGrid(np.array(values, dtype=np.complex128).reshape(shape), zone, 3)
 
 
+def _g17(values, chunk=ambiguity._BLOCK_CELLS):
+    return _g17_module.format_g17(np.array(values, dtype=np.float64), chunk).tolist()
+
+
+def _percent_g17(values):
+    return [b"%.17g" % v for v in np.array(values, dtype=np.float64).tolist()]
+
+
+def _ulps(v):
+    return [np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)]
+
+
+# values the kernel's error bound must hand to "%.17g", or must not get
+# wrong at the edge of its layouts and tables
+G17_EDGES = (
+    [0.0, -0.0, math.inf, -math.inf]
+    + _bits(0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+            0xFFF0000000000001, 0x7FFFFFFFFFFFFFFF)
+    + [5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+       np.nextafter(2.2250738585072014e-308, 0), 1.7976931348623157e308,
+       -1.7976931348623157e308]
+    + [u * s for v in (1e-5, 1e-4, 1e16, 1e17) for u in _ulps(v) for s in (1, -1)]
+    # exact 17-digit ties, which "%.17g" rounds to even
+    + [1000000000000000.25, 1000000000000000.75, 100000000000000.125,
+       100000000000000.375, 1.00000762939453125, -1000000000000000.25]
+)
+
+
+class TestG17Kernel:
+    @pytest.mark.parametrize("chunk", [1, 7, ambiguity._BLOCK_CELLS])
+    def test_edge_list(self, chunk):
+        assert _g17(G17_EDGES, chunk) == _percent_g17(G17_EDGES)
+
+    def test_ties_round_to_even(self):
+        assert _g17([1000000000000000.25, 1000000000000000.75]) == [
+            b"1000000000000000.2", b"1000000000000000.8"]
+
+    def test_every_table_power_of_ten(self):
+        """Every power of ten the _pow10 table can be asked for, +-1 ulp,
+        in both signs: the edges of each decimal exponent."""
+        tens = [u for X in range(-308, 309) for u in _ulps(float("1e%d" % X))]
+        values = tens + [-v for v in tens]
+        assert _g17(values) == _percent_g17(values)
+
+    @given(st.lists(st.integers(0, (1 << 64) - 1), max_size=50), st.sampled_from([1, 7]))
+    @settings(max_examples=200, deadline=None)
+    def test_raw_bit_patterns(self, words, chunk):
+        values = np.array(words, dtype=np.uint64).view(np.float64)
+        assert _g17(values, chunk) == _percent_g17(values)
+
+    @given(st.lists(st.floats(width=64), max_size=50), st.sampled_from([1, 7]))
+    @settings(max_examples=200, deadline=None)
+    def test_floats(self, values, chunk):
+        assert _g17(values, chunk) == _percent_g17(values)
+
+    @given(st.lists(st.tuples(st.floats(1e-40, 1e20), st.booleans()), max_size=50),
+           st.sampled_from([1, 7]))
+    @settings(max_examples=200, deadline=None)
+    def test_magnitudes_from_1e_minus_40_to_1e20(self, drawn, chunk):
+        values = [-v if neg else v for v, neg in drawn]
+        assert _g17(values, chunk) == _percent_g17(values)
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(17)
+        values = rng.integers(0, 1 << 64, size=20000, dtype=np.uint64).view(np.float64)
+        assert _g17(values) == _percent_g17(values)
+
+
+@pytest.fixture(scope="module")
+def set160():
+    """eval-long's set, unrelabelled: K=9, M=160, L=135, zone 135."""
+    rect = product_construct(build_circular_quasi_florentine(2, 4),
+                             build_extended_quasi_florentine(3, 2))
+    return build_drcs(rect, dft_matrix(160))
+
+
+class _Discard:
+    def write(self, text):
+        pass
+
+
 class TestWriters:
+    @pytest.mark.parametrize("writer", [write_cells_csv, write_magnitude_csv])
+    @pytest.mark.parametrize("pair", [(0, 1), (0, 0)])
+    def test_memory_on_a_269_by_269_grid(self, set160, writer, pair):
+        """A byte table per distinct value plus one block: under 8 MB for
+        eval-long's grids, whose CSVs run to 5 MB."""
+        g = af_grid(set160.flock(pair[0]), set160.flock(pair[1]), set160.zone, set160.r, "fft")
+        assert g.values.shape == (269, 269)
+        writer(g, _Discard())  # tables built and the kernel imported
+        tracemalloc.start()
+        try:
+            writer(g, _Discard())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+
+    def test_csv_matches_literal_on_eval_long_grids(self, set160):
+        for k1, k2 in ((0, 1), (0, 0)):
+            g = af_grid(set160.flock(k1), set160.flock(k2), set160.zone, set160.r, "fft")
+            assert _written(write_cells_csv, g) == literal_cells_csv(g)
+            assert _written(write_magnitude_csv, g) == literal_magnitude_csv(g)
+
     def test_abs_disagreements_exist(self):
         # the cells writer must keep Python's abs(); these values tell them apart
         assert len(ABS_DISAGREE) >= 8

@@ -185,6 +185,22 @@ def test_rect_search(capsys):
     assert obj["certificate"]["exhaustive"]
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_rect_search_refuses_row_cap_below_one(capsys, cap):
+    code, out, err = run(capsys, "rect", "search", "5", "3", "--row-cap", cap)
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "ParamsOutOfRangeError"
+
+
+def test_rect_search_row_cap_one_keeps_the_fixed_row(capsys):
+    code, out, _ = run(capsys, "rect", "search", "5", "3", "--row-cap", "1")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["rectangle"]["rows"] == [[0, 1, 2]]
+    assert obj["certificate"]["max_rows"] == 1
+    assert obj["certificate"]["row_cap"] == 1
+
+
 def test_rect_product_matches_library(tmp_path, capsys):
     a = str(tmp_path / "a.json")
     b = str(tmp_path / "b.json")
@@ -234,6 +250,25 @@ def test_grid_extension_checked(tmp_path, capsys):
     code, _, _ = run(capsys, "drcs", "grid", sset, "--pair", "0", "1",
                      "--out", str(tmp_path / "g.txt"))
     assert code == 3
+
+
+def test_grid_extension_checked_before_the_grid(tmp_path, capsys, monkeypatch):
+    rect = str(tmp_path / "r.json")
+    bh = str(tmp_path / "h.json")
+    sset = str(tmp_path / "s.json")
+    run(capsys, "rect", "circular-qfr", "2", "2", "--out", rect)
+    run(capsys, "bh", "dft", "4", "--out", bh)
+    run(capsys, "drcs", "build", rect, bh, "--out", sset)
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("af_grid ran before --out was checked")
+
+    monkeypatch.setattr(cli.ambiguity, "af_grid", no_grid)
+    code, out, err = run(capsys, "drcs", "grid", sset, "--pair", "0", "1",
+                         "--out", str(tmp_path / "g.txt"))
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "ParamsOutOfRangeError"
+    assert not (tmp_path / "g.txt").exists()
 
 
 def test_grid_outputs(tmp_path, capsys):

@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from drcs_forge import finite_field
 from drcs_forge.errors import CapExceededError, NonPrimeError, ParamsOutOfRangeError
 from drcs_forge.finite_field import (
     FieldSpec,
@@ -139,6 +140,13 @@ class TestPrimitivePolynomial:
         assert d.shape == (15, 4)
         assert len({tuple(row) for row in d.tolist()}) == 15
         assert d.any(axis=1).all()
+
+    def test_order_factored_once_per_field(self):
+        # GF(7^2) tries 16 candidates; 48 is factored once for all of them
+        finite_field._prime_factors.cache_clear()
+        assert find_primitive_polynomial(7, 2).poly == (3, 1, 1)
+        assert finite_field._prime_factors.cache_info().misses == 1
+        assert finite_field._prime_factors(48) == (2, 3)
 
     @pytest.mark.parametrize("p, n", PRIME_POWERS_TO_64)
     def test_lex_first_by_brute_force(self, p, n):
