@@ -81,7 +81,7 @@ def af_pair(a, b, r, tau, nu):
 class AfGrid:
     """Ambiguity values over the zone lattice, indexed by (tau, nu)."""
 
-    def __init__(self, values, zone, L, kind="cross", pair=None):
+    def __init__(self, values, zone, L, pair=None):
         values = np.asarray(values, dtype=np.complex128)
         if values.shape != (2 * zone.Z_x - 1, 2 * zone.Z_y - 1):
             raise ShapeMismatchError(
@@ -90,7 +90,6 @@ class AfGrid:
         self.values = values
         self.zone = zone
         self.L = int(L)
-        self.kind = kind
         self.pair = tuple(pair) if pair is not None else None
 
     def value(self, tau, nu):
@@ -188,7 +187,7 @@ def _grid_fft(C1, C2, zone, r):
     return g.take(nus, axis=1)
 
 
-def af_grid(C1, C2, zone, r, method="naive", kind="cross", pair=None):
+def af_grid(C1, C2, zone, r, method="naive", pair=None):
     """Evaluate the full lattice; method is "naive" or "fft". A grid
     whose largest array would exceed GRID_CAP elements is refused before
     anything is allocated."""
@@ -208,7 +207,7 @@ def af_grid(C1, C2, zone, r, method="naive", kind="cross", pair=None):
         values = _grid_fft(C1, C2, zone, r)
     else:
         raise ParamsOutOfRangeError("method must be naive or fft, got %r" % method)
-    return AfGrid(values, zone, L, kind=kind, pair=pair)
+    return AfGrid(values, zone, L, pair=pair)
 
 
 def _scan(grids, zone, tol, skip_origin):
@@ -278,14 +277,14 @@ def theta_max(S, zone=None, method="fft"):
     zone.check_length(S.L)
     tol = 64 * S.M * S.L * np.finfo(float).eps
 
-    def grids(pairs, kind):
+    def grids(pairs):
         for k1, k2 in pairs:
-            yield af_grid(S.flock(k1), S.flock(k2), zone, S.r, method, kind, (k1, k2))
+            yield af_grid(S.flock(k1), S.flock(k2), zone, S.r, method, (k1, k2))
 
     autos = [(k, k) for k in range(S.K)]
     crosses = [(k1, k2) for k1 in range(S.K) for k2 in range(S.K) if k1 != k2]
-    theta_a, witness_a = _scan(grids(autos, "auto"), zone, tol, skip_origin=True)
-    theta_c, witness_c = _scan(grids(crosses, "cross"), zone, tol, skip_origin=False)
+    theta_a, witness_a = _scan(grids(autos), zone, tol, skip_origin=True)
+    theta_c, witness_c = _scan(grids(crosses), zone, tol, skip_origin=False)
     return ThetaReport(theta_a, theta_c, witness_a, witness_c, zone, method)
 
 

@@ -17,6 +17,7 @@ import sys
 import numpy as np
 
 from . import ambiguity, bounds, oracles
+from ._artifacts import json_text, read_json, write_file, write_json
 from .drcs import Zone, build_drcs, export_drcs, import_drcs
 from .errors import (
     DrcsForgeError,
@@ -24,9 +25,6 @@ from .errors import (
     MismatchError,
     ParamsOutOfRangeError,
     ParseError,
-    json_text,
-    read_json,
-    write_json,
 )
 from .hadamard import PhaseMatrix, dft_matrix, kronecker, load_seed, verify_bh, walsh_hadamard
 from .rectangles import (
@@ -46,11 +44,7 @@ from .rectangles import (
 def _write(write, out=None):
     """Call write(fh) on the file out, or on stdout when out is None."""
     if out:
-        try:
-            with open(out, "w") as fh:
-                write(fh)
-        except OSError as exc:
-            raise ParseError("cannot write %s: %s" % (out, exc)) from None
+        write_file(out, write)
     else:
         write(sys.stdout)
 
@@ -207,21 +201,12 @@ def cmd_drcs(args):
         k1, k2 = args.pair
         if not (0 <= k1 < S.K and 0 <= k2 < S.K):
             raise ParamsOutOfRangeError("pair indices must lie in [0, %d)" % S.K)
-        kind = "auto" if k1 == k2 else "cross"
-        g = ambiguity.af_grid(S.flock(k1), S.flock(k2), S.zone, S.r, args.method, kind,
-                              (k1, k2))
-        try:
-            if out.endswith(".pgm"):
-                with open(out, "wb") as fh:
-                    ambiguity.write_pgm(g, fh)
-            else:
-                with open(out, "w") as fh:
-                    if args.matrix:
-                        ambiguity.write_magnitude_csv(g, fh)
-                    else:
-                        ambiguity.write_cells_csv(g, fh)
-        except OSError as exc:
-            raise ParseError("cannot write %s: %s" % (out, exc)) from None
+        g = ambiguity.af_grid(S.flock(k1), S.flock(k2), S.zone, S.r, args.method, (k1, k2))
+        if out.endswith(".pgm"):
+            write_file(out, functools.partial(ambiguity.write_pgm, g), binary=True)
+        else:
+            writer = ambiguity.write_magnitude_csv if args.matrix else ambiguity.write_cells_csv
+            write_file(out, functools.partial(writer, g))
         return 0
     return 0
 

@@ -7,21 +7,21 @@ matrix of order N: sequence m of flock k reads column m of the Butson
 row selected by rectangle entry a[k][n].
 """
 
+import functools
+
 import numpy as np
 
+from ._artifacts import load_artifact, write_file, write_json
 from .errors import (
     InvariantError,
     OrderMismatchError,
     ParamsOutOfRangeError,
-    ParseError,
     RectangleClassError,
     SchemaError,
     UnitarityError,
     json_int,
     json_int_array,
     json_object,
-    load_artifact,
-    write_json,
 )
 from .hadamard import verify_bh
 from .rectangles import verify_c1, verify_c2
@@ -146,11 +146,7 @@ def build_drcs(A, B):
 def export_drcs(S, path):
     """Write the set losslessly as JSON: the text of S.to_json(), made
     from the exponent array without converting it to lists first."""
-    try:
-        with open(path, "w") as fh:
-            write_json(S._fields(S.flocks), fh)
-    except OSError as exc:
-        raise ParseError("cannot write %s: %s" % (path, exc)) from None
+    write_file(path, functools.partial(write_json, S._fields(S.flocks)))
 
 
 def _set_from_json(obj, bools=True):
@@ -163,15 +159,14 @@ def _set_from_json(obj, bools=True):
         raise SchemaError("set JSON needs flocks, r: %s" % exc) from None
     flocks = json_int_array(flocks, "flocks", SchemaError, bools)
     r = json_int(r, "r", SchemaError)
-    if zone:
+    if zone is not None:
         if not isinstance(zone, list) or len(zone) != 2:
             raise SchemaError("zone must be a list [Z_x, Z_y], got %r" % (zone,))
         zone = Zone(*(json_int(z, "zone", SchemaError) for z in zone))
-    else:
-        zone = None
     if flocks.ndim != 3:
         raise SchemaError("flocks must be K x M x L, got ndim=%d" % flocks.ndim)
-    declared = tuple(obj.get(k, flocks.shape[i]) for i, k in enumerate(("K", "M", "L")))
+    declared = tuple(json_int(obj[k], k, SchemaError) if k in obj else flocks.shape[i]
+                     for i, k in enumerate("KML"))
     if declared != flocks.shape:
         raise SchemaError("declared shape %s != payload shape %s" % (declared, flocks.shape))
     prov = json_object(obj.get("provenance"), "provenance", SchemaError) or {"source": "external"}

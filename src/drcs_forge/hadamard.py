@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from ._artifacts import load_artifact
 from .errors import (
     InvariantError,
     ParamsOutOfRangeError,
@@ -21,7 +22,6 @@ from .errors import (
     json_int,
     json_int_array,
     json_object,
-    load_artifact,
 )
 from .finite_field import is_prime
 
@@ -92,7 +92,7 @@ class PhaseMatrix:
     def read(cls, path):
         """(table, sha256 of the file's bytes) for a {N, r, exps} JSON
         file, unverified; parsed once per process while cached (see
-        errors.load_artifact)."""
+        _artifacts.load_artifact)."""
         return load_artifact(path, "bh", cls.from_json, ParseError)
 
 

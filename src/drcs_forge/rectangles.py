@@ -20,6 +20,7 @@ import json
 
 import numpy as np
 
+from ._artifacts import load_artifact
 from .errors import (
     C1ViolatedError,
     CapExceededError,
@@ -33,7 +34,6 @@ from .errors import (
     json_int,
     json_int_array,
     json_object,
-    load_artifact,
 )
 from .finite_field import check_field, find_primitive_polynomial, smallest_prime_factor
 
@@ -103,7 +103,7 @@ class Rectangle:
     @classmethod
     def read(cls, path):
         """(rectangle, sha256 of the file's bytes) for a JSON file; parsed
-        once per process while cached (see errors.load_artifact). A file
+        once per process while cached (see _artifacts.load_artifact). A file
         that cannot be read or parsed raises ParseError, a bad field
         SchemaError."""
         return load_artifact(path, "rect", cls.from_json, ParseError)
@@ -384,10 +384,8 @@ def product_construct(A, B):
     s = min(A.nrows, B.nrows)
     n, m = A.ncols, B.ncols
     N1 = A.N
-    rows = np.empty((s, n * m), dtype=np.int64)
-    for i in range(s):
-        # index j = j1*n + j2 walks B-blocks outer, A-columns inner
-        rows[i] = ((N1 * B.rows[i])[:, None] + A.rows[i][None, :]).ravel()
+    # index j = j1*n + j2 walks B-blocks outer, A-columns inner
+    rows = (N1 * B.rows[:s, :, None] + A.rows[:s, None, :]).reshape(s, n * m)
     return Rectangle(
         N1 * B.N,
         rows,

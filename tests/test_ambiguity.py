@@ -274,7 +274,7 @@ class TestThetaMax:
 
     def test_toy_grid_values(self, toy_set):
         C = toy_set.flock(0)
-        g = af_grid(C, C, Zone(2, 2), 2, method="naive", kind="auto", pair=(0, 0))
+        g = af_grid(C, C, Zone(2, 2), 2, method="naive", pair=(0, 0))
         assert g.value(0, 0) == pytest.approx(4.0)
         for tau in (-1, 0, 1):
             for nu in (-1, 0, 1):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import time
@@ -70,14 +71,21 @@ def test_report_out_to_missing_dir(tmp_path, capsys):
     assert "error" in json.loads(err)
 
 
-def test_build_out_to_missing_dir(tmp_path, capsys):
-    rect = str(tmp_path / "r.json")
-    bh = str(tmp_path / "h.json")
-    run(capsys, "rect", "circular-qfr", "3", "2", "--out", rect)
-    run(capsys, "bh", "dft", "9", "--out", bh)
-    code, _, err = run(capsys, "drcs", "build", rect, bh,
-                       "--out", str(tmp_path / "missing" / "s.json"))
+@pytest.mark.parametrize("argv", [
+    ["drcs", "build", "r.json", "h.json", "--out", "s.json"],
+    ["drcs", "grid", "set.json", "--pair", "0", "1", "--out", "cells.csv"],
+    ["drcs", "grid", "set.json", "--pair", "0", "0", "--matrix", "--out", "mag.csv"],
+    ["drcs", "grid", "set.json", "--pair", "0", "1", "--out", "heat.pgm"],
+    ["rect", "circular-florentine", "5", "--out", "r.json"],
+], ids=["build", "grid_cells", "grid_matrix", "grid_pgm", "rect_builder"])
+def test_build_out_to_missing_dir(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "rect", "circular-qfr", "3", "2", "--out", "r.json")
+    run(capsys, "bh", "dft", "9", "--out", "h.json")
+    run(capsys, "drcs", "build", "r.json", "h.json", "--out", "set.json")
+    code, out, err = run(capsys, *argv[:-1], os.path.join("missing", argv[-1]))
     assert code == 4
+    assert out == ""
     assert json.loads(err)["error"] == "ParseError"
 
 
@@ -95,6 +103,11 @@ def _flocks_with_float(obj):
     obj["flocks"][0][0][1] = 1.7
 
 
+def _one_flock_with_k_true(obj):
+    obj["flocks"] = obj["flocks"][:1]
+    obj["K"] = True
+
+
 @pytest.mark.parametrize("edit", [
     _flocks_with_float,
     lambda obj: obj.update(zone="ab"),
@@ -103,8 +116,17 @@ def _flocks_with_float(obj):
     lambda obj: obj.update(r=2.5),
     lambda obj: obj["flocks"][1][0].__setitem__(0, True),
     lambda obj: obj.update(provenance="x"),
+    lambda obj: obj.update(zone=False),
+    lambda obj: obj.update(zone=0),
+    lambda obj: obj.update(zone=""),
+    lambda obj: obj.update(zone=[]),
+    lambda obj: obj.update(K=4.0),
+    lambda obj: obj.update(L=3.0),
+    _one_flock_with_k_true,
+    lambda obj: obj.update(M=None),
 ], ids=["exponent_1.7", "zone_ab", "zone_item_x", "r_x", "r_2.5", "exponent_true",
-        "provenance_str"])
+        "provenance_str", "zone_false", "zone_0", "zone_empty_str", "zone_empty_list",
+        "K_4.0", "L_3.0", "K_true_one_flock", "M_null"])
 def test_eval_rejects_non_integer_set_fields(tmp_path, capsys, edit):
     obj = _set_json(tmp_path, capsys)
     edit(obj)
@@ -471,6 +493,17 @@ def test_pipeline_twice_in_one_process(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
+# sha256 of the desk pipeline's integer artifacts; the float outputs are
+# left out, since their last bits may vary with the BLAS build
+DESK_DIGESTS = {
+    "rect.json": "aceaa0b1c61d1759d3b2c1dbe9b50da7666d2d509f7182304e3916cef6634c84",
+    "rect_verify.json": "1be9a2f65de43f4991b9a3c7258c93a1450334e568325b891d6f8bc245e7740f",
+    "bh.json": "f2df9bf3bbe5718b92f6308ed9c2997c8baa7ec39d6101694a43a52678195ec1",
+    "bh_verify.json": "5f2847be4aca7a90566ce8c9dd9435064a474dc35ce9e3d37a50293356bb3498",
+    "set.json": "b035940eed04b44e450e333562ea17ce1da8edbac9b84e07c02ca1df2f385529",
+}
+
+
 def test_committed_desk_pipeline(tmp_path, capsys, monkeypatch):
     """The config the CI workflow runs through the installed entry point."""
     monkeypatch.chdir(tmp_path)
@@ -488,6 +521,9 @@ def test_committed_desk_pipeline(tmp_path, capsys, monkeypatch):
     pgm = (tmp_path / "heat01.pgm").read_bytes()
     assert pgm.startswith(b"P5\n15 15\n65535\n")
     assert len(pgm) == len(b"P5\n15 15\n65535\n") + 2 * 15 * 15
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in DESK_DIGESTS}
+    assert got == DESK_DIGESTS
 
 
 def _run_small(capsys, *argv):

@@ -6,15 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes
 
-from drcs_forge import ambiguity, bounds, errors
+from drcs_forge import _artifacts, ambiguity, bounds
+from drcs_forge._artifacts import json_text, write_json
 from drcs_forge.drcs import Zone, build_drcs, export_drcs, import_drcs
 from drcs_forge.errors import (
     ParseError,
     SchemaError,
     json_int_array,
     json_object,
-    json_text,
-    write_json,
 )
 from drcs_forge.hadamard import PhaseMatrix, dft_matrix, load_seed, walsh_hadamard
 from drcs_forge.rectangles import Rectangle, build_circular_quasi_florentine, search_max_rows
@@ -112,20 +111,20 @@ def nested_arrays(draw):
 @settings(max_examples=300, deadline=None)
 def test_writer_matches_json_dumps_on_drawn_arrays(pair, block):
     obj, ref = pair
-    saved = errors._BLOCK
-    errors._BLOCK = block
+    saved = _artifacts._BLOCK
+    _artifacts._BLOCK = block
     try:
         text = json_text(obj)
         fh = io.StringIO()
         write_json(obj, fh)
     finally:
-        errors._BLOCK = saved
+        _artifacts._BLOCK = saved
     assert text == dumps(ref)
     assert fh.getvalue() == text + "\n"
 
 
 @pytest.mark.parametrize("obj", [np.int64(3), [np.int64(3)], {1, 2}, np.array(3),
-                                 np.array([0.5]), {(1, 2): 3}])
+                                 np.array([0.5]), {(1, 2): 3}, {1: np.array([1])}])
 def test_writer_refuses_what_json_refuses(obj):
     with pytest.raises(TypeError):
         dumps(obj)
@@ -204,7 +203,7 @@ def test_rewritten_file_gives_the_new_content(tmp_path):
     path.write_text(dumps(dft_matrix(4).to_json()))
     B, sha = PhaseMatrix.read(str(path))
     assert B == dft_matrix(4)
-    assert sha == errors.hashlib.sha256(path.read_bytes()).hexdigest()
+    assert sha == _artifacts.hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_returned_provenance_is_a_copy(tmp_path):
@@ -263,19 +262,19 @@ def test_same_bytes_under_another_path_keep_their_own_source(tmp_path):
 
 
 def test_cache_stays_within_its_byte_bound(tmp_path, monkeypatch):
-    monkeypatch.setattr(errors, "_cache", errors.collections.OrderedDict())
-    monkeypatch.setattr(errors, "CACHE_BYTES", 3 * 16 * 16 * 8)  # three 16 x 16 tables
+    monkeypatch.setattr(_artifacts, "_cache", _artifacts.collections.OrderedDict())
+    monkeypatch.setattr(_artifacts, "CACHE_BYTES", 3 * 16 * 16 * 8)  # three 16 x 16 tables
     for i in range(6):
         path = tmp_path / ("t%d.json" % i)
         path.write_text(dumps(dft_matrix(16).to_json() | {"provenance": {"i": i}}))
         assert PhaseMatrix.read(str(path))[0].provenance == {"i": i}
-        held = sum(size for _, size in errors._cache.values())
-        assert 0 < held <= errors.CACHE_BYTES
-    assert [k[1] for k in errors._cache] == [str(tmp_path / ("t%d.json" % i)) for i in (3, 4, 5)]
+        held = sum(size for _, size in _artifacts._cache.values())
+        assert 0 < held <= _artifacts.CACHE_BYTES
+    assert [k[1] for k in _artifacts._cache] == [str(tmp_path / ("t%d.json" % i)) for i in (3, 4, 5)]
     big = tmp_path / "big.json"
     big.write_text(dumps(dft_matrix(28).to_json()))  # 6272 bytes, over the bound
     assert PhaseMatrix.read(str(big))[0] == dft_matrix(28)
-    assert len(errors._cache) == 3 and str(big) not in [k[1] for k in errors._cache]
+    assert len(_artifacts._cache) == 3 and str(big) not in [k[1] for k in _artifacts._cache]
 
 
 @pytest.mark.parametrize("encoding", ["utf-8", "utf-16", "utf-16-le", "utf-32"])
@@ -309,4 +308,4 @@ def test_undecodable_bytes_raise_the_loaders_error(tmp_path, data):
     with pytest.raises(SchemaError, match="cannot decode"):
         import_drcs(str(path))
     with pytest.raises(ParseError, match="cannot decode"):
-        errors.read_json(str(path), ParseError)
+        _artifacts.read_json(str(path), ParseError)
