@@ -1,6 +1,6 @@
-"""Artifact I/O: the loader every rectangle, Butson table and set file
-goes through, the writer for every JSON artifact, and the one place an
-output file is opened.
+"""Artifact I/O: Table, the base of rectangles, Butson tables and sets;
+the loader every artifact file goes through, the writer for every JSON
+artifact, and the one place an output file is opened.
 
 Reading. load_artifact reads a file's bytes, decodes them the way
 json.loads decodes bytes (UTF-8, UTF-16 or UTF-32, told apart by a BOM
@@ -27,7 +27,59 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import InvariantError, ParseError
+
+# -- tables --
+
+class Table:
+    """What Rectangle, PhaseMatrix and DrcsSet share: a read-only int64
+    table with entries in [0, modulus), a provenance, the JSON form,
+    reading a file, and equality. A subclass builds its table with
+    _table, checks its shape, and defines _fields() (its JSON fields,
+    the table as the array itself) and from_json(obj, bools).
+    READ_ERROR is raised for a file that cannot be read, decoded or
+    parsed, FIELD_ERROR for a document that does not hold the artifact."""
+
+    READ_ERROR = ParseError
+    FIELD_ERROR = ParseError
+
+    def _table(self, table, modulus, provenance):
+        """table as a read-only int64 array, refused unless its entries
+        lie in [0, modulus); keeps a copy of provenance."""
+        table = np.array(table, dtype=np.int64)
+        if modulus < 1:
+            raise InvariantError("modulus must be positive, got %d" % modulus)
+        if table.size and (table.min() < 0 or table.max() >= modulus):
+            raise InvariantError("entries must lie in [0, %d)" % modulus)
+        table.setflags(write=False)
+        self.provenance = dict(provenance) if provenance else {}
+        return table
+
+    def to_json(self):
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v
+                for k, v in self._fields().items()}
+
+    def __eq__(self, other):
+        """Every field but the provenance is equal."""
+        if type(other) is not type(self):
+            return NotImplemented
+        mine, theirs = self._fields(), other._fields()
+        return all(np.array_equal(mine[k], theirs[k]) for k in mine if k != "provenance")
+
+    @classmethod
+    def read(cls, path):
+        """(artifact, sha256 of the file's bytes) for a JSON file, parsed
+        once per process while cached (see load_artifact). A table the
+        constructor refuses is a malformed file: FIELD_ERROR."""
+        return load_artifact(path, cls, cls._parse, cls.READ_ERROR)
+
+    @classmethod
+    def _parse(cls, obj, bools):
+        try:
+            return cls.from_json(obj, bools)
+        except InvariantError as exc:
+            raise cls.FIELD_ERROR(str(exc)) from None
+
 
 # -- reader --
 
@@ -72,6 +124,7 @@ def read_json(path, error):
 
 def load_artifact(path, kind, parse, error):
     """(artifact, sha256 hex digest of the file's bytes) for a JSON file.
+    kind is any hashable that tells the artifact kinds apart.
 
     parse(value, bools) builds the artifact from the parsed JSON value
     and raises on a value it refuses; bools is False when the decoded

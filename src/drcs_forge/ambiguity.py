@@ -187,8 +187,8 @@ def _grid_fft(C1, C2, zone, r):
     return g.take(nus, axis=1)
 
 
-def af_grid(C1, C2, zone, r, method="naive", pair=None):
-    """Evaluate the full lattice; method is "naive" or "fft". A grid
+def af_grid(C1, C2, zone, r, method="fft", pair=None):
+    """Evaluate the full lattice; method is "fft" or "naive". A grid
     whose largest array would exceed GRID_CAP elements is refused before
     anything is allocated."""
     C1 = np.asarray(C1, dtype=np.int64)

@@ -25,6 +25,7 @@ from .errors import (
     MismatchError,
     ParamsOutOfRangeError,
     ParseError,
+    json_object,
 )
 from .hadamard import PhaseMatrix, dft_matrix, kronecker, load_seed, verify_bh, walsh_hadamard
 from .rectangles import (
@@ -54,12 +55,6 @@ def _emit(obj, out=None):
     _write(functools.partial(write_json, obj), out)
 
 
-def _emit_table(T, out=None):
-    """Write a Rectangle or PhaseMatrix as to_json() would give it, the
-    table passed to the writer as the array itself."""
-    _emit(T._fields(T.rows if isinstance(T, Rectangle) else T.exps), out)
-
-
 def _load_rect(path):
     return Rectangle.read(path)[0]
 
@@ -68,17 +63,17 @@ def _load_rect(path):
 
 def cmd_rect(args):
     if args.rect_cmd == "circular-florentine":
-        _emit_table(build_circular_florentine(args.N), args.out)
+        _emit(build_circular_florentine(args.N)._fields(), args.out)
     elif args.rect_cmd == "circular-qfr":
-        _emit_table(build_circular_quasi_florentine(args.p, args.n), args.out)
+        _emit(build_circular_quasi_florentine(args.p, args.n)._fields(), args.out)
     elif args.rect_cmd == "extended-qfr":
-        _emit_table(build_extended_quasi_florentine(args.p, args.n), args.out)
+        _emit(build_extended_quasi_florentine(args.p, args.n)._fields(), args.out)
     elif args.rect_cmd == "truncate":
         R = truncate_columns(_load_rect(args.file), args.k, args.side)
-        _emit_table(R, args.out)
+        _emit(R._fields(), args.out)
     elif args.rect_cmd == "product":
         D = product_construct(_load_rect(args.fileA), _load_rect(args.fileB))
-        _emit_table(D, args.out)
+        _emit(D._fields(), args.out)
     elif args.rect_cmd == "verify":
         R = _load_rect(args.file)
         out = {"N": R.N, "rows": R.nrows, "cols": R.ncols, "circular": args.circular}
@@ -98,7 +93,7 @@ def cmd_rect(args):
     elif args.rect_cmd == "search":
         R, cert = search_max_rows(args.N, args.n, circular=args.circular,
                                   row_cap=args.row_cap)
-        _emit({"rectangle": R._fields(R.rows), "certificate": cert}, args.out)
+        _emit({"rectangle": R._fields(), "certificate": cert}, args.out)
     return 0
 
 
@@ -106,16 +101,16 @@ def cmd_rect(args):
 
 def cmd_bh(args):
     if args.bh_cmd == "dft":
-        _emit_table(dft_matrix(args.N), args.out)
+        _emit(dft_matrix(args.N)._fields(), args.out)
     elif args.bh_cmd == "walsh":
-        _emit_table(walsh_hadamard(args.m), args.out)
+        _emit(walsh_hadamard(args.m)._fields(), args.out)
     elif args.bh_cmd == "kron":
         if len(args.files) < 2:
             raise ParamsOutOfRangeError("kron needs at least two files")
         mats = [load_seed(f) for f in args.files]
-        _emit_table(functools.reduce(kronecker, mats), args.out)
+        _emit(functools.reduce(kronecker, mats)._fields(), args.out)
     elif args.bh_cmd == "load":
-        _emit_table(load_seed(args.file), args.out)
+        _emit(load_seed(args.file)._fields(), args.out)
     elif args.bh_cmd == "verify":
         B = PhaseMatrix.read(args.file)[0]
         ok = verify_bh(B)
@@ -165,7 +160,7 @@ def cmd_drcs(args):
         if args.out:
             export_drcs(S, args.out)
         else:
-            _emit(S._fields(S.flocks))
+            _emit(S._fields())
         return 0
     if args.drcs_cmd == "eval":
         S = import_drcs(args.set)
@@ -197,6 +192,8 @@ def cmd_drcs(args):
         out = args.out
         if not out.endswith((".csv", ".pgm")):
             raise ParamsOutOfRangeError("--out must end in .csv or .pgm")
+        if args.matrix and out.endswith(".pgm"):
+            raise ParamsOutOfRangeError("--matrix writes a .csv; a .pgm is always the heat map")
         S = import_drcs(args.set)
         k1, k2 = args.pair
         if not (0 <= k1 < S.K and 0 <= k2 < S.K):
@@ -217,9 +214,10 @@ def cmd_pipeline(args):
     path = os.path.realpath(args.config)
     if path in args.pipelines:
         raise ParseError("pipeline config %s runs itself" % args.config)
-    cfg = read_json(args.config, ParseError)
-    steps = cfg.get("steps") if isinstance(cfg, dict) else None
-    if not isinstance(steps, list) or not all(isinstance(s, list) for s in steps):
+    cfg = json_object(read_json(args.config, ParseError), "pipeline config", ParseError)
+    steps = cfg.get("steps")
+    # the decoder gives JSON arrays as exact lists
+    if type(steps) is not list or any(type(s) is not list for s in steps):
         raise ParseError("pipeline config needs a steps list of argv lists")
     for step in steps:
         step_args = _parse_step([str(x) for x in step])
@@ -328,7 +326,7 @@ def build_parser():
     d.add_argument("--pair", nargs=2, type=int, required=True, metavar=("K1", "K2"))
     d.add_argument("--method", choices=("naive", "fft"), default="fft")
     d.add_argument("--matrix", action="store_true",
-                   help="write the magnitude matrix instead of cell rows (.csv)")
+                   help="write the magnitude matrix instead of cell rows (.csv only)")
     d.add_argument("--out", required=True)
 
     pl = sub.add_parser("pipeline", help="run steps from a JSON config")

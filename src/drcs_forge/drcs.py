@@ -11,7 +11,7 @@ import functools
 
 import numpy as np
 
-from ._artifacts import load_artifact, write_file, write_json
+from ._artifacts import Table, write_file, write_json
 from .errors import (
     InvariantError,
     OrderMismatchError,
@@ -59,27 +59,20 @@ class Zone:
                 yield tau, nu
 
 
-class DrcsSet:
+class DrcsSet(Table):
     """K x M x L exponent array over Z_r plus the zone it targets."""
 
+    READ_ERROR = FIELD_ERROR = SchemaError
+
     def __init__(self, flocks, r, zone=None, provenance=None):
-        flocks = np.array(flocks, dtype=np.int64)
-        r = int(r)
-        if flocks.ndim != 3:
-            raise SchemaError("flocks must be a 3-D array, got ndim=%d" % flocks.ndim)
-        if r < 1:
-            raise InvariantError("root order must be positive")
-        if flocks.size and (flocks.min() < 0 or flocks.max() >= r):
-            raise InvariantError("exponents must lie in [0, %d)" % r)
-        K, M, L = flocks.shape
-        if min(K, M, L) < 1:
+        self.r = int(r)
+        self.flocks = self._table(flocks, self.r, provenance)
+        if self.flocks.ndim != 3:
+            raise SchemaError("flocks must be a 3-D array, got ndim=%d" % self.flocks.ndim)
+        if min(self.flocks.shape) < 1:
             raise InvariantError("flocks must be non-empty in every axis")
-        flocks.setflags(write=False)
-        self.flocks = flocks
-        self.r = r
-        self.zone = zone if zone is not None else Zone(L, L)
-        self.zone.check_length(L)
-        self.provenance = dict(provenance) if provenance else {}
+        self.zone = zone if zone is not None else Zone(self.L, self.L)
+        self.zone.check_length(self.L)
 
     @property
     def K(self):
@@ -99,19 +92,41 @@ class DrcsSet:
     def flock(self, k):
         return self.flocks[k]
 
-    def to_json(self):
-        return self._fields(self.flocks.tolist())
-
-    def _fields(self, flocks):
+    def _fields(self):
         return {
             "K": self.K,
             "M": self.M,
             "L": self.L,
             "r": self.r,
-            "flocks": flocks,
+            "flocks": self.flocks,
             "zone": [self.zone.Z_x, self.zone.Z_y],
             "provenance": self.provenance,
         }
+
+    @classmethod
+    def from_json(cls, obj, bools=True):
+        """The set a parsed {K, M, L, r, flocks, zone} object holds; the
+        declared shape must match the payload. bools as in
+        errors.json_int_array."""
+        try:
+            flocks, r = obj["flocks"], obj["r"]
+            zone = obj.get("zone")
+        except (KeyError, TypeError) as exc:
+            raise SchemaError("set JSON needs flocks, r: %s" % exc) from None
+        flocks = json_int_array(flocks, "flocks", SchemaError, bools)
+        r = json_int(r, "r", SchemaError)
+        if zone is not None:
+            if not isinstance(zone, list) or len(zone) != 2:
+                raise SchemaError("zone must be a list [Z_x, Z_y], got %r" % (zone,))
+            zone = Zone(*(json_int(z, "zone", SchemaError) for z in zone))
+        if flocks.ndim != 3:
+            raise SchemaError("flocks must be K x M x L, got ndim=%d" % flocks.ndim)
+        declared = tuple(json_int(obj[k], k, SchemaError) if k in obj else flocks.shape[i]
+                         for i, k in enumerate("KML"))
+        if declared != flocks.shape:
+            raise SchemaError("declared shape %s != payload shape %s" % (declared, flocks.shape))
+        prov = json_object(obj.get("provenance"), "provenance", SchemaError) or {"source": "external"}
+        return cls(flocks, r, zone, prov)
 
 
 def build_drcs(A, B):
@@ -146,36 +161,14 @@ def build_drcs(A, B):
 def export_drcs(S, path):
     """Write the set losslessly as JSON: the text of S.to_json(), made
     from the exponent array without converting it to lists first."""
-    write_file(path, functools.partial(write_json, S._fields(S.flocks)))
-
-
-def _set_from_json(obj, bools=True):
-    """The set a parsed set object holds; shape declarations must match
-    the payload."""
-    try:
-        flocks, r = obj["flocks"], obj["r"]
-        zone = obj.get("zone")
-    except (KeyError, TypeError) as exc:
-        raise SchemaError("set JSON needs flocks, r: %s" % exc) from None
-    flocks = json_int_array(flocks, "flocks", SchemaError, bools)
-    r = json_int(r, "r", SchemaError)
-    if zone is not None:
-        if not isinstance(zone, list) or len(zone) != 2:
-            raise SchemaError("zone must be a list [Z_x, Z_y], got %r" % (zone,))
-        zone = Zone(*(json_int(z, "zone", SchemaError) for z in zone))
-    if flocks.ndim != 3:
-        raise SchemaError("flocks must be K x M x L, got ndim=%d" % flocks.ndim)
-    declared = tuple(json_int(obj[k], k, SchemaError) if k in obj else flocks.shape[i]
-                     for i, k in enumerate("KML"))
-    if declared != flocks.shape:
-        raise SchemaError("declared shape %s != payload shape %s" % (declared, flocks.shape))
-    prov = json_object(obj.get("provenance"), "provenance", SchemaError) or {"source": "external"}
-    return DrcsSet(flocks, r, zone, prov)
+    write_file(path, functools.partial(write_json, S._fields()))
 
 
 def import_drcs(path):
     """Read a set back; shape declarations must match the payload. A
-    provenance without a source gets the file's path and sha256."""
-    S, sha = load_artifact(path, "set", _set_from_json, SchemaError)
+    file with no provenance, or an empty one, gets {"source":
+    "external"}; a non-empty provenance without a source gets the
+    file's path and sha256."""
+    S, sha = DrcsSet.read(path)
     S.provenance.setdefault("source", {"path": str(path), "sha256": sha})
     return S

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from ._artifacts import load_artifact
+from ._artifacts import Table
 from .errors import (
     InvariantError,
     ParamsOutOfRangeError,
@@ -26,35 +26,18 @@ from .errors import (
 from .finite_field import is_prime
 
 
-class PhaseMatrix:
+class PhaseMatrix(Table):
     """Square exponent table over Z_r with provenance."""
 
     def __init__(self, N, r, exps, provenance=None):
-        N, r = int(N), int(r)
-        exps = np.array(exps, dtype=np.int64)
-        if N < 1 or r < 1:
-            raise InvariantError("need N >= 1 and r >= 1")
-        if exps.shape != (N, N):
-            raise InvariantError("exponents must be %dx%d, got %s" % (N, N, exps.shape))
-        if exps.size and (exps.min() < 0 or exps.max() >= r):
-            raise InvariantError("exponents must lie in [0, %d)" % r)
-        exps.setflags(write=False)
-        self.N = N
-        self.r = r
-        self.exps = exps
-        self.provenance = dict(provenance) if provenance else {}
+        self.N, self.r = int(N), int(r)
+        self.exps = self._table(exps, self.r, provenance)
+        if self.N < 1 or self.exps.shape != (self.N, self.N):
+            raise InvariantError("need N >= 1 and %dx%d exponents, got %s"
+                                 % (self.N, self.N, self.exps.shape))
 
     def __repr__(self):
         return "PhaseMatrix(N=%d, r=%d)" % (self.N, self.r)
-
-    def __eq__(self, other):
-        if not isinstance(other, PhaseMatrix):
-            return NotImplemented
-        return (
-            self.N == other.N
-            and self.r == other.r
-            and np.array_equal(self.exps, other.exps)
-        )
 
     def to_complex(self):
         """H = omega_r^E, gathered from a table of the r roots. Each entry
@@ -64,18 +47,13 @@ class PhaseMatrix:
             return np.exp(2j * np.pi * self.exps / self.r)
         return np.exp(2j * np.pi * np.arange(self.r) / self.r)[self.exps]
 
-    def to_json(self):
-        return self._fields(self.exps.tolist())
-
-    def _fields(self, exps):
-        """to_json with the table given as exps: a list, or the array
-        itself for the JSON writer."""
-        return {"N": self.N, "r": self.r, "exps": exps, "provenance": self.provenance}
+    def _fields(self):
+        return {"N": self.N, "r": self.r, "exps": self.exps, "provenance": self.provenance}
 
     @classmethod
     def from_json(cls, obj, bools=True):
-        """The table a parsed {N, r, exps} object holds; bools as in
-        errors.json_int_array."""
+        """The table a parsed {N, r, exps} object holds, unverified; bools
+        as in errors.json_int_array."""
         try:
             N, r, exps = obj["N"], obj["r"], obj["exps"]
         except (KeyError, TypeError) as exc:
@@ -83,17 +61,7 @@ class PhaseMatrix:
         N = json_int(N, "N", ParseError)
         r = json_int(r, "r", ParseError)
         exps = json_int_array(exps, "exps", ParseError, bools)
-        try:
-            return cls(N, r, exps, json_object(obj.get("provenance"), "provenance", ParseError))
-        except InvariantError as exc:
-            raise ParseError(str(exc)) from None
-
-    @classmethod
-    def read(cls, path):
-        """(table, sha256 of the file's bytes) for a {N, r, exps} JSON
-        file, unverified; parsed once per process while cached (see
-        _artifacts.load_artifact)."""
-        return load_artifact(path, "bh", cls.from_json, ParseError)
+        return cls(N, r, exps, json_object(obj.get("provenance"), "provenance", ParseError))
 
 
 # Largest order a builder makes: the int64 exponent table is 0.5 GB and

@@ -20,13 +20,12 @@ import json
 
 import numpy as np
 
-from ._artifacts import load_artifact
+from ._artifacts import Table
 from .errors import (
     C1ViolatedError,
     CapExceededError,
     InvariantError,
     ParamsOutOfRangeError,
-    ParseError,
     PreconditionError,
     SameRowError,
     SchemaError,
@@ -38,24 +37,18 @@ from .errors import (
 from .finite_field import check_field, find_primitive_polynomial, smallest_prime_factor
 
 
-class Rectangle:
+class Rectangle(Table):
     """Integer matrix over Z_N plus provenance describing how it was built."""
 
+    FIELD_ERROR = SchemaError
+
     def __init__(self, N, rows, provenance=None):
-        N = int(N)
-        rows = np.array(rows, dtype=np.int64)
-        if rows.ndim != 2:
-            raise SchemaError("rows must be a 2-D array, got ndim=%d" % rows.ndim)
-        if rows.shape[1] < 1:
+        self.N = int(N)
+        self.rows = self._table(rows, self.N, provenance)
+        if self.rows.ndim != 2:
+            raise SchemaError("rows must be a 2-D array, got ndim=%d" % self.rows.ndim)
+        if self.rows.shape[1] < 1:
             raise InvariantError("a rectangle needs at least one column")
-        if N < 1:
-            raise InvariantError("alphabet modulus must be positive")
-        if rows.size and (rows.min() < 0 or rows.max() >= N):
-            raise InvariantError("entries must lie in [0, %d)" % N)
-        rows.setflags(write=False)
-        self.N = N
-        self.rows = rows
-        self.provenance = dict(provenance) if provenance else {}
 
     @property
     def nrows(self):
@@ -65,24 +58,11 @@ class Rectangle:
     def ncols(self):
         return self.rows.shape[1]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Rectangle)
-            and self.N == other.N
-            and self.rows.shape == other.rows.shape
-            and bool(np.all(self.rows == other.rows))
-        )
-
     def __repr__(self):
         return "Rectangle(N=%d, %dx%d)" % (self.N, self.nrows, self.ncols)
 
-    def to_json(self):
-        return self._fields(self.rows.tolist())
-
-    def _fields(self, rows):
-        """to_json with the table given as rows: a list, or the array
-        itself for the JSON writer."""
-        return {"N": self.N, "n": self.ncols, "rows": rows, "provenance": self.provenance}
+    def _fields(self):
+        return {"N": self.N, "n": self.ncols, "rows": self.rows, "provenance": self.provenance}
 
     @classmethod
     def from_json(cls, obj, bools=True):
@@ -99,14 +79,6 @@ class Rectangle:
         if rect.ncols != n:
             raise SchemaError("declared n=%d but rows have %d columns" % (n, rect.ncols))
         return rect
-
-    @classmethod
-    def read(cls, path):
-        """(rectangle, sha256 of the file's bytes) for a JSON file; parsed
-        once per process while cached (see _artifacts.load_artifact). A file
-        that cannot be read or parsed raises ParseError, a bad field
-        SchemaError."""
-        return load_artifact(path, "rect", cls.from_json, ParseError)
 
 
 def load_fixture(name):

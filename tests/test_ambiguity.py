@@ -203,6 +203,12 @@ class TestGrid:
         got = af_grid(C1, C2, Z, r, method="naive").values
         assert got.tobytes() == want.tobytes()
 
+    @EDGE_SHAPES
+    def test_default_method_is_fft(self, M, L, zone, r):
+        C1, C2 = _edge_flocks(M, L, r)
+        got = af_grid(C1, C2, Zone(*zone), r).values
+        assert got.tobytes() == af_grid(C1, C2, Zone(*zone), r, method="fft").values.tobytes()
+
     def test_naive_needs_no_fft(self, monkeypatch):
         C1, C2 = _edge_flocks(4, 12, 6)
         want = af_grid(C1, C2, Zone(12, 7), 6, method="naive").values

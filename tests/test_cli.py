@@ -124,9 +124,13 @@ def _one_flock_with_k_true(obj):
     lambda obj: obj.update(L=3.0),
     _one_flock_with_k_true,
     lambda obj: obj.update(M=None),
+    lambda obj: obj["flocks"][0][0].__setitem__(1, obj["r"]),
+    lambda obj: obj["flocks"][0][0].__setitem__(1, -1),
+    lambda obj: obj.update(r=0),
 ], ids=["exponent_1.7", "zone_ab", "zone_item_x", "r_x", "r_2.5", "exponent_true",
         "provenance_str", "zone_false", "zone_0", "zone_empty_str", "zone_empty_list",
-        "K_4.0", "L_3.0", "K_true_one_flock", "M_null"])
+        "K_4.0", "L_3.0", "K_true_one_flock", "M_null", "exponent_r", "exponent_negative",
+        "r_0"])
 def test_eval_rejects_non_integer_set_fields(tmp_path, capsys, edit):
     obj = _set_json(tmp_path, capsys)
     edit(obj)
@@ -145,7 +149,12 @@ def test_eval_rejects_non_integer_set_fields(tmp_path, capsys, edit):
     {"N": 3, "n": "2", "rows": [[0, 1]]},
     {"N": 3, "n": 2, "rows": [[0, True]]},
     {"N": 3, "n": 2, "rows": [[0, 1]], "provenance": "x"},
-], ids=["row_1.9", "row_str", "N_3.5", "n_str", "row_true", "provenance_str"])
+    {"N": 3, "n": 2, "rows": [[0, 3]]},
+    {"N": 3, "n": 2, "rows": [[0, -1]]},
+    {"N": 0, "n": 2, "rows": [[0, 1]]},
+    {"N": 3, "n": 0, "rows": [[], []]},
+], ids=["row_1.9", "row_str", "N_3.5", "n_str", "row_true", "provenance_str", "row_N",
+        "row_negative", "N_0", "no_columns"])
 def test_rect_verify_rejects_non_integer_fields(tmp_path, capsys, obj):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(obj))
@@ -161,7 +170,12 @@ def test_rect_verify_rejects_non_integer_fields(tmp_path, capsys, obj):
     {"N": True, "r": 2, "exps": [[0]]},
     {"N": 2, "r": 2, "exps": [[0, 0], [0, True]]},
     {"N": 1, "r": 2, "exps": [[0]], "provenance": ["x"]},
-], ids=["exps_float", "r_x", "N_bool", "exps_true", "provenance_list"])
+    {"N": 2, "r": 2, "exps": [[0, 0], [0, 2]]},
+    {"N": 2, "r": 2, "exps": [[0, 0], [0, -1]]},
+    {"N": 1, "r": 0, "exps": [[0]]},
+    {"N": 0, "r": 2, "exps": []},
+], ids=["exps_float", "r_x", "N_bool", "exps_true", "provenance_list", "exps_r",
+        "exps_negative", "r_0", "N_0"])
 def test_bh_verify_rejects_non_integer_fields(tmp_path, capsys, obj):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(obj))
@@ -274,7 +288,9 @@ def test_grid_extension_checked(tmp_path, capsys):
     assert code == 3
 
 
-def test_grid_extension_checked_before_the_grid(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("flags, name", [([], "g.txt"), (["--matrix"], "g.pgm")],
+                         ids=["txt", "matrix_pgm"])
+def test_grid_extension_checked_before_the_grid(tmp_path, capsys, monkeypatch, flags, name):
     rect = str(tmp_path / "r.json")
     bh = str(tmp_path / "h.json")
     sset = str(tmp_path / "s.json")
@@ -285,12 +301,16 @@ def test_grid_extension_checked_before_the_grid(tmp_path, capsys, monkeypatch):
     def no_grid(*args, **kwargs):
         raise AssertionError("af_grid ran before --out was checked")
 
+    def no_read(*args, **kwargs):
+        raise AssertionError("the set was read before --out was checked")
+
     monkeypatch.setattr(cli.ambiguity, "af_grid", no_grid)
-    code, out, err = run(capsys, "drcs", "grid", sset, "--pair", "0", "1",
-                         "--out", str(tmp_path / "g.txt"))
+    monkeypatch.setattr(cli, "import_drcs", no_read)
+    code, out, err = run(capsys, "drcs", "grid", sset, "--pair", "0", "1", *flags,
+                         "--out", str(tmp_path / name))
     assert code == 3 and out == ""
     assert json.loads(err)["error"] == "ParamsOutOfRangeError"
-    assert not (tmp_path / "g.txt").exists()
+    assert not (tmp_path / name).exists()
 
 
 def test_grid_outputs(tmp_path, capsys):

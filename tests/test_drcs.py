@@ -80,6 +80,17 @@ class TestSerialization:
         assert np.array_equal(again.flocks, set8.flocks)
         assert again.r == set8.r and again.zone == set8.zone
 
+    def test_import_equals_export(self, set8, tmp_path):
+        path = str(tmp_path / "set.json")
+        export_drcs(set8, path)
+        again = import_drcs(path)
+        assert again == set8 and again.provenance != set8.provenance
+        assert again != DrcsSet(set8.flocks, 2 * set8.r)
+        assert again != DrcsSet(set8.flocks, set8.r, Zone(2, 3))
+        assert again != DrcsSet(set8.flocks[:, :, :5], set8.r)
+        with pytest.raises(TypeError):
+            hash(again)  # == makes a set unhashable, like a rectangle
+
     def test_declared_shape_must_match(self, set8, tmp_path):
         path = str(tmp_path / "set.json")
         export_drcs(set8, path)

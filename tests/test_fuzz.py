@@ -116,11 +116,17 @@ def check_outcome(argv, code, out, err):
 
 
 def _fuzz(doc, command):
+    """A drawn file that fails is refused as malformed input (or as
+    infeasible, or by a verifier), never with InvariantError, the
+    library's error for a table argument it refuses."""
     with _scratch_dir():
         with open("in.json", "w") as fh:
             json.dump(doc, fh)
         argv = [a.format(f="in.json") for a in command]
-        check_outcome(argv, *run_cli(argv))
+        code, out, err = run_cli(argv)
+        check_outcome(argv, code, out, err)
+        if err:
+            assert json.loads(err)["error"] != "InvariantError", (argv, doc, err)
 
 
 @given(documents("rect"), st.sampled_from(COMMANDS["rect"]))
