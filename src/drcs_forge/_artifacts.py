@@ -36,7 +36,7 @@ class Table:
     table with entries in [0, modulus), a provenance, the JSON form,
     reading a file, and equality. A subclass builds its table with
     _table, checks its shape, and defines _fields() (its JSON fields,
-    the table as the array itself) and from_json(obj, bools).
+    the table as the array itself) and from_json(obj).
     READ_ERROR is raised for a file that cannot be read, decoded or
     parsed, FIELD_ERROR for a document that does not hold the artifact."""
 
@@ -44,9 +44,9 @@ class Table:
     FIELD_ERROR = ParseError
 
     def _table(self, table, modulus, provenance):
-        """table as a read-only int64 array, refused unless its entries
-        lie in [0, modulus); keeps a copy of provenance."""
-        table = np.array(table, dtype=np.int64)
+        """table as a read-only C-ordered int64 copy, refused unless its
+        entries lie in [0, modulus); keeps a copy of provenance."""
+        table = np.array(table, dtype=np.int64, order="C")
         if modulus < 1:
             raise InvariantError("modulus must be positive, got %d" % modulus)
         if table.size and (table.min() < 0 or table.max() >= modulus):
@@ -74,9 +74,9 @@ class Table:
         return load_artifact(path, cls, cls._parse, cls.READ_ERROR)
 
     @classmethod
-    def _parse(cls, obj, bools):
+    def _parse(cls, obj):
         try:
-            return cls.from_json(obj, bools)
+            return cls.from_json(obj)
         except InvariantError as exc:
             raise cls.FIELD_ERROR(str(exc)) from None
 
@@ -126,13 +126,12 @@ def load_artifact(path, kind, parse, error):
     """(artifact, sha256 hex digest of the file's bytes) for a JSON file.
     kind is any hashable that tells the artifact kinds apart.
 
-    parse(value, bools) builds the artifact from the parsed JSON value
-    and raises on a value it refuses; bools is False when the decoded
-    text holds neither "true" nor "false", so the value holds no
-    boolean. Reading, decoding and parsing failures raise error. The
-    bytes are read and hashed on every call; the artifact is built once
-    per (kind, path, digest) while it stays in the cache. The result
-    shares the cached read-only arrays and has a provenance of its own.
+    parse(value) builds the artifact from the parsed JSON value and
+    raises on a value it refuses. Reading, decoding and parsing failures
+    raise error. The bytes are read and hashed on every call; the
+    artifact is built once per (kind, path, digest) while it stays in
+    the cache. The result shares the cached read-only arrays and has a
+    provenance of its own.
     """
     raw = _read(path, error)
     sha = hashlib.sha256(raw).hexdigest()
@@ -141,10 +140,9 @@ def load_artifact(path, kind, parse, error):
     if entry is None:
         text = _decode(raw, path, error)
         del raw  # the bytes, text and parsed lists would otherwise coexist
-        bools = "true" in text or "false" in text
         value = _loads(text, path, error)
         del text
-        artifact = parse(value, bools)
+        artifact = parse(value)
         _remember(key, artifact)
     else:
         _cache.move_to_end(key)

@@ -34,7 +34,6 @@ import math
 import numpy as np
 
 from .errors import LengthMismatchError, ParamsOutOfRangeError, ShapeMismatchError
-from .drcs import Zone
 
 
 # Elements of the largest array one grid or root table may take: 2^22

@@ -104,16 +104,15 @@ class DrcsSet(Table):
         }
 
     @classmethod
-    def from_json(cls, obj, bools=True):
+    def from_json(cls, obj):
         """The set a parsed {K, M, L, r, flocks, zone} object holds; the
-        declared shape must match the payload. bools as in
-        errors.json_int_array."""
+        declared shape must match the payload."""
         try:
             flocks, r = obj["flocks"], obj["r"]
             zone = obj.get("zone")
         except (KeyError, TypeError) as exc:
             raise SchemaError("set JSON needs flocks, r: %s" % exc) from None
-        flocks = json_int_array(flocks, "flocks", SchemaError, bools)
+        flocks = json_int_array(flocks, "flocks", SchemaError)
         r = json_int(r, "r", SchemaError)
         if zone is not None:
             if not isinstance(zone, list) or len(zone) != 2:
@@ -149,7 +148,7 @@ def build_drcs(A, B):
     if not verify_bh(B):
         raise UnitarityError("matrix is not Butson-type")
     # flocks[k, m, n] = B.exps[A.rows[k, n], m]
-    flocks = np.transpose(B.exps[A.rows], (0, 2, 1)).copy()
+    flocks = np.transpose(B.exps[A.rows], (0, 2, 1))
     return DrcsSet(
         flocks,
         B.r,

@@ -107,13 +107,9 @@ def json_int(value, what, error):
     return int(value)
 
 
-def json_int_array(value, what, error, bools=True):
+def json_int_array(value, what, error):
     """A nested JSON list of integers as an int64 array; any float,
-    string, boolean or ragged nesting raises error instead of being cast.
-
-    bools=False skips the walk over the leaves that looks for booleans.
-    Pass it only when the decoded text the value came from holds neither
-    "true" nor "false", the only spellings of a JSON boolean."""
+    string, boolean or ragged nesting raises error instead of being cast."""
     msg = "%s must be a nested list of integers" % what
     try:
         arr = np.asarray(value)
@@ -121,8 +117,6 @@ def json_int_array(value, what, error, bools=True):
         raise error(msg) from None
     if arr.size and arr.dtype.kind != "i":
         raise error(msg)
-    if not bools:
-        return arr.astype(np.int64, copy=False)
     # numpy reads booleans mixed with integers as 0/1
     leaves = [value]
     for _ in range(arr.ndim):

@@ -3,12 +3,15 @@
 A FieldSpec pins down GF(p^n) by a monic primitive polynomial, found
 by a deterministic search, and gives the table of powers of its root
 alpha as coefficient vectors over Z_p (low degree first). The builder
-reads rectangle symbols off that table. This module also holds the
-package's one trial-division loop, which factors orders and tests
-primes for the rectangle and Butson layers.
+reads rectangle symbols off that table. One walk over the powers of x
+modulo the polynomial both builds the table and decides primitivity:
+no order is factored. This module also holds the package's one
+trial-division loop, which finds the smallest prime factor of N for
+the circular Florentine builder and tests primes for the rectangle and
+Butson layers.
 """
 
-import functools
+import itertools
 
 import numpy as np
 
@@ -43,20 +46,6 @@ def is_prime(m):
     return m >= 2 and smallest_prime_factor(m) == m
 
 
-@functools.lru_cache(maxsize=64)
-def _prime_factors(m):
-    """Distinct prime divisors of m, in ascending order. Memoised: the
-    primitivity test factors the same p^n - 1 for every candidate
-    polynomial of a field."""
-    out = []
-    while m > 1:
-        d = smallest_prime_factor(m)
-        out.append(d)
-        while m % d == 0:
-            m //= d
-    return tuple(out)
-
-
 def check_field(p, n):
     """p^n, once p is prime, n >= 1 and p^n <= FIELD_CAP; raises otherwise.
 
@@ -73,65 +62,27 @@ def check_field(p, n):
     return p ** n
 
 
-def _mul_mod_poly(a, b, p, poly):
-    """Multiply two coefficient tuples and reduce mod (poly, p).
+def _power_walk(p, n, poly):
+    """The rows x^0, ..., x^(q-2) mod (poly, p), q = p^n, if x has order
+    exactly q - 1; None otherwise.
 
-    poly is the full modulus c0..c_{n-1}, 1 (monic), so
-    x^n = -(c0 + c1 x + ... + c_{n-1} x^{n-1}).
+    The walk stops at the first return to 1, or after q - 1 steps. The
+    ring Z_p[x]/(poly) has at most q - 1 units, and exactly q - 1 only
+    when it is a field, so full order makes poly both irreducible and
+    primitive. When poly(0) = 0, x is no unit and never returns to 1.
     """
-    n = len(a)
-    prod = [0] * (2 * n - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            prod[i + j] = (prod[i + j] + ai * bj) % p
-    for d in range(2 * n - 2, n - 1, -1):
-        c = prod[d]
-        if c == 0:
-            continue
-        prod[d] = 0
-        for i in range(n):
-            prod[d - n + i] = (prod[d - n + i] - c * poly[i]) % p
-    return tuple(prod[:n])
-
-
-def _times_x(coeffs, p, poly):
-    """Multiply by x and reduce; O(n), used to walk the power table."""
-    n = len(coeffs)
-    top = coeffs[-1]
-    shifted = (0,) + coeffs[:-1]
-    if top == 0:
-        return shifted
-    return tuple((shifted[i] - top * poly[i]) % p for i in range(n))
-
-
-def _alpha_order_is_full(p, n, poly):
-    """True iff x has multiplicative order exactly p^n - 1 mod (poly, p).
-
-    Full order forces every nonzero residue to be a power of x, so the
-    quotient ring is a field and poly is both irreducible and primitive;
-    no separate irreducibility pass is needed.
-    """
-    e = p ** n - 1
-    alpha = tuple(1 if i == 1 else 0 for i in range(n)) if n > 1 else ((-poly[0]) % p,)
+    units = p ** n - 1
     one = (1,) + (0,) * (n - 1)
-
-    def powmod(base, k):
-        acc = one
-        while k:
-            if k & 1:
-                acc = _mul_mod_poly(acc, base, p, poly)
-            base = _mul_mod_poly(base, base, p, poly)
-            k >>= 1
-        return acc
-
-    if powmod(alpha, e) != one:
-        return False
-    for q in _prime_factors(e):
-        if powmod(alpha, e // q) == one:
-            return False
-    return True
+    rows, cur = [], one
+    for _ in range(units):
+        rows.append(cur)
+        # times x, reduced by x^n = -(c0 + c1 x + ... + c_{n-1} x^{n-1})
+        top, cur = cur[-1], (0,) + cur[:-1]
+        if top:
+            cur = tuple([(c - top * m) % p for c, m in zip(cur, poly)])
+        if cur == one:
+            break
+    return rows if len(rows) == units and cur == one else None
 
 
 class FieldSpec:
@@ -143,12 +94,14 @@ class FieldSpec:
         poly = tuple(int(c) % p for c in poly)
         if len(poly) != n + 1 or poly[-1] != 1:
             raise InvariantError("modulus must be monic of degree n (got %r)" % (poly,))
-        if not _alpha_order_is_full(p, n, poly):
+        rows = _power_walk(p, n, poly)
+        if rows is None:
             raise InvariantError("polynomial %r is not primitive over Z_%d" % (poly, p))
         self.p = p
         self.n = n
         self.poly = poly
-        self._exp_digits = None
+        self._digits = np.array(rows, dtype=np.int64)
+        self._digits.setflags(write=False)
 
     @property
     def order(self):
@@ -160,19 +113,10 @@ class FieldSpec:
     def power_digits(self):
         """(p^n - 1) x n array; row j holds the coefficients of alpha^j.
 
-        Cached and read-only: the rectangle builder reads its symbols
-        off this table.
+        Read-only: the rectangle builder reads its symbols off this
+        table.
         """
-        if self._exp_digits is None:
-            q = self.order
-            digits = np.zeros((q - 1, self.n), dtype=np.int64)
-            cur = (1,) + (0,) * (self.n - 1)
-            for j in range(q - 1):
-                digits[j] = cur
-                cur = _times_x(cur, self.p, self.poly)
-            self._exp_digits = digits
-            self._exp_digits.setflags(write=False)
-        return self._exp_digits
+        return self._digits
 
     def to_json(self):
         return {"p": self.p, "n": self.n, "poly": list(self.poly)}
@@ -188,16 +132,15 @@ def find_primitive_polynomial(p, n):
     p, n = int(p), int(n)
     check_field(p, n)
 
-    # Odometer over (c0, ..., c_{n-1}); c0 != 0 or x would divide the modulus.
-    coeffs = [0] * n
-    while True:
-        poly = tuple(coeffs) + (1,)
-        if coeffs[0] != 0 and _alpha_order_is_full(p, n, poly):
-            return FieldSpec(p, n, poly)
-        i = n - 1
-        while i >= 0 and coeffs[i] == p - 1:
-            coeffs[i] = 0
-            i -= 1
-        if i < 0:
-            raise InvariantError("no primitive polynomial found for GF(%d^%d)" % (p, n))
-        coeffs[i] += 1
+    # Ascending (c0, ..., c_{n-1}); c0 != 0 or x would divide the modulus.
+    # The norm (-1)^n c0 of a primitive element generates Z_p^*, so for
+    # n > 1 a c0 whose norm does not (a walk in GF(p) tells) is passed
+    # over with all its candidates.
+    for c0 in range(1, p):
+        if n > 1 and _power_walk(p, 1, ((-1) ** (n + 1) * c0 % p, 1)) is None:
+            continue
+        for rest in itertools.product(range(p), repeat=n - 1):
+            poly = (c0,) + rest + (1,)
+            if _power_walk(p, n, poly) is not None:
+                return FieldSpec(p, n, poly)
+    raise InvariantError("no primitive polynomial found for GF(%d^%d)" % (p, n))

@@ -51,16 +51,15 @@ class PhaseMatrix(Table):
         return {"N": self.N, "r": self.r, "exps": self.exps, "provenance": self.provenance}
 
     @classmethod
-    def from_json(cls, obj, bools=True):
-        """The table a parsed {N, r, exps} object holds, unverified; bools
-        as in errors.json_int_array."""
+    def from_json(cls, obj):
+        """The table a parsed {N, r, exps} object holds, unverified."""
         try:
             N, r, exps = obj["N"], obj["r"], obj["exps"]
         except (KeyError, TypeError) as exc:
             raise ParseError("seed JSON needs N, r, exps: %s" % exc) from None
         N = json_int(N, "N", ParseError)
         r = json_int(r, "r", ParseError)
-        exps = json_int_array(exps, "exps", ParseError, bools)
+        exps = json_int_array(exps, "exps", ParseError)
         return cls(N, r, exps, json_object(obj.get("provenance"), "provenance", ParseError))
 
 

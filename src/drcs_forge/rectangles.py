@@ -17,6 +17,7 @@ import collections
 import importlib.resources
 import itertools
 import json
+import math
 
 import numpy as np
 
@@ -65,16 +66,15 @@ class Rectangle(Table):
         return {"N": self.N, "n": self.ncols, "rows": self.rows, "provenance": self.provenance}
 
     @classmethod
-    def from_json(cls, obj, bools=True):
-        """The rectangle a parsed {N, n, rows} object holds; bools as in
-        errors.json_int_array."""
+    def from_json(cls, obj):
+        """The rectangle a parsed {N, n, rows} object holds."""
         try:
             N, n, rows = obj["N"], obj["n"], obj["rows"]
         except (KeyError, TypeError) as exc:
             raise SchemaError("rectangle JSON needs N, n, rows: %s" % exc) from None
         N = json_int(N, "N", SchemaError)
         n = json_int(n, "n", SchemaError)
-        rows = json_int_array(rows, "rows", SchemaError, bools)
+        rows = json_int_array(rows, "rows", SchemaError)
         rect = cls(N, rows, json_object(obj.get("provenance"), "provenance", SchemaError))
         if rect.ncols != n:
             raise SchemaError("declared n=%d but rows have %d columns" % (n, rect.ncols))
@@ -472,6 +472,9 @@ def family_dimensions(family, **params):
 
 SEARCH_CAP = 10
 
+# Most candidate rows the search lists up front: 8!, about 4 MB of tuples.
+_SEARCH_ROWS_CAP = 40320
+
 
 def search_max_rows(N, n, circular=False, row_cap=None):
     """Backtracking search for a maximum-row rectangle at desk scale.
@@ -482,13 +485,18 @@ def search_max_rows(N, n, circular=False, row_cap=None):
     strictly lex-increasing rows, pruning the symmetric branches.
     Returns (Rectangle, certificate); certificate["exhaustive"] is False
     when row_cap stopped a branch from deepening. A row_cap below 1 is
-    refused: the fixed first row always fits.
+    refused: the fixed first row always fits. So are more than 8!
+    candidate rows, N!/(N-n)!, before any is listed.
     """
     N, n = int(N), int(n)
     if N > SEARCH_CAP:
         raise CapExceededError("exhaustive search capped at N <= %d, got %d" % (SEARCH_CAP, N))
     if not 1 <= n <= N:
         raise ParamsOutOfRangeError("need 1 <= n <= N, got n = %d" % n)
+    candidates = math.perm(N, n)
+    if candidates > _SEARCH_ROWS_CAP:
+        raise ParamsOutOfRangeError("search over %d candidate rows, over the cap of %d"
+                                    % (candidates, _SEARCH_ROWS_CAP))
     if row_cap is not None and row_cap < 1:
         # the fixed first row is placed before the cap is ever checked
         raise ParamsOutOfRangeError("row cap must be at least 1, got %d" % row_cap)

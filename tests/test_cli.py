@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import pathlib
 import time
 import tracemalloc
 
@@ -228,6 +229,15 @@ def test_rect_search_refuses_row_cap_below_one(capsys, cap):
     assert json.loads(err)["error"] == "ParamsOutOfRangeError"
 
 
+@pytest.mark.parametrize("N", ["9", "10"])
+def test_rect_search_refuses_too_many_candidate_rows(capsys, N):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "rect", "search", N, N)
+    assert time.perf_counter() - t0 < 0.1
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "ParamsOutOfRangeError"
+
+
 def test_rect_search_row_cap_one_keeps_the_fixed_row(capsys):
     code, out, _ = run(capsys, "rect", "search", "5", "3", "--row-cap", "1")
     assert code == 0
@@ -244,7 +254,7 @@ def test_rect_product_matches_library(tmp_path, capsys):
     run(capsys, "rect", "circular-florentine", "7", "--out", a)
     run(capsys, "rect", "circular-qfr", "3", "2", "--out", b)
     assert run(capsys, "rect", "product", a, b, "--out", d)[0] == 0
-    obj = json.loads(open(d).read())
+    obj = json.loads(pathlib.Path(d).read_text())
     assert obj["N"] == 63 and len(obj["rows"]) == 6
 
 
@@ -405,7 +415,7 @@ def test_pipeline_config(tmp_path, capsys):
     ]}))
     code, _, _ = run(capsys, "pipeline", str(cfg))
     assert code == 0
-    obj = json.loads(open(report).read())
+    obj = json.loads(pathlib.Path(report).read_text())
     assert obj["c2"] and obj["circular"]
 
 
@@ -772,4 +782,4 @@ def test_deterministic_output(tmp_path, capsys):
     p1, p2 = str(tmp_path / "x1.json"), str(tmp_path / "x2.json")
     run(capsys, "rect", "circular-qfr", "3", "2", "--out", p1)
     run(capsys, "rect", "circular-qfr", "3", "2", "--out", p2)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert pathlib.Path(p1).read_bytes() == pathlib.Path(p2).read_bytes()

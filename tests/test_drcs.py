@@ -34,6 +34,12 @@ class TestBuild:
                 for n in (0, 1, 4):
                     assert set8.flocks[k, m, n] == B.exps[rect_a8.rows[k, n], m]
 
+    def test_flocks_stored_c_contiguous(self, set8):
+        # the flocks come from a transposed gather: the one copy the
+        # constructor makes must lay them out row by row
+        assert set8.flocks.flags.c_contiguous
+        assert DrcsSet(np.zeros((2, 3, 4), dtype=np.int64).transpose(0, 2, 1), 2).flocks.flags.c_contiguous
+
     def test_order_mismatch(self, rect_a8):
         with pytest.raises(OrderMismatchError):
             build_drcs(rect_a8, dft_matrix(9))

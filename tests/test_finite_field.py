@@ -4,8 +4,12 @@ import time
 import numpy as np
 import pytest
 
-from drcs_forge import finite_field
-from drcs_forge.errors import CapExceededError, NonPrimeError, ParamsOutOfRangeError
+from drcs_forge.errors import (
+    CapExceededError,
+    InvariantError,
+    NonPrimeError,
+    ParamsOutOfRangeError,
+)
 from drcs_forge.finite_field import (
     FieldSpec,
     check_field,
@@ -141,16 +145,25 @@ class TestPrimitivePolynomial:
         assert len({tuple(row) for row in d.tolist()}) == 15
         assert d.any(axis=1).all()
 
-    def test_order_factored_once_per_field(self):
-        # GF(7^2) tries 16 candidates; 48 is factored once for all of them
-        finite_field._prime_factors.cache_clear()
-        assert find_primitive_polynomial(7, 2).poly == (3, 1, 1)
-        assert finite_field._prime_factors.cache_info().misses == 1
-        assert finite_field._prime_factors(48) == (2, 3)
-
     @pytest.mark.parametrize("p, n", PRIME_POWERS_TO_64)
     def test_lex_first_by_brute_force(self, p, n):
         assert find_primitive_polynomial(p, n).poly == brute_force_primitive(p, n)
+
+
+@pytest.mark.parametrize("p, n", PRIME_POWERS_TO_64)
+def test_field_spec_accepts_exactly_the_primitive_polynomials(p, n):
+    # every monic polynomial of degree n, c0 = 0 and reducible ones too:
+    # FieldSpec takes it iff x has order p^n - 1, and its table then
+    # holds the powers of x
+    q = p ** n
+    for coeffs in itertools.product(range(p), repeat=n):
+        F = RefField(p, coeffs + (1,))
+        units = F.powers(F.alpha(), q)
+        if units[-1] == F.one() and F.one() not in units[1:-1]:
+            assert FieldSpec(p, n, F.poly).power_digits().tolist() == [list(u) for u in units[:-1]]
+        else:
+            with pytest.raises(InvariantError):
+                FieldSpec(p, n, F.poly)
 
 
 class TestFieldCheck:

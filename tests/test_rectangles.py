@@ -462,6 +462,18 @@ class TestSearch:
         with pytest.raises(CapExceededError):
             search_max_rows(11, 3)
 
+    @pytest.mark.parametrize("N, n", [(9, 9), (10, 10), (9, 6)])
+    def test_refuses_over_8_factorial_rows_before_listing_them(self, N, n):
+        # 9 x 9 would list 362880 candidate rows (about 40 MB) first
+        t0 = time.perf_counter()
+        with pytest.raises(ParamsOutOfRangeError):
+            search_max_rows(N, n)
+        assert time.perf_counter() - t0 < 0.1
+
+    def test_admits_8_factorial_rows(self):
+        _, cert = search_max_rows(8, 8, circular=True, row_cap=1)
+        assert cert["max_rows"] == 1
+
     def test_known_maximum_at_primes(self):
         # at prime N with full-width rows the construction is optimal;
         # N=7 also holds but the exhaustive proof takes minutes
