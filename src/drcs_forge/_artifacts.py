@@ -1,16 +1,18 @@
-"""Artifact I/O: Table, the base of rectangles, Butson tables and sets;
-the loader every artifact file goes through, the writer for every JSON
-artifact, and the one place an output file is opened.
+"""Artifact I/O: Table, the base of rectangles, Butson tables and sets
+and the one reader of their files; the writer for every JSON artifact,
+and the one place an output file is opened.
 
-Reading. load_artifact reads a file's bytes, decodes them the way
+Reading. Table.read reads a file's bytes, decodes them the way
 json.loads decodes bytes (UTF-8, UTF-16 or UTF-32, told apart by a BOM
-or the zero-byte pattern), parses the text and builds the artifact. A
-file that cannot be read, decoded or parsed raises the loader's exit-4
-error. Built artifacts are kept in a small LRU cache keyed by (kind,
+or the zero-byte pattern), parses the text and builds the artifact.
+Every artifact file goes through it, the packaged fixtures included. A
+file that cannot be read, decoded or parsed raises the class's exit-4
+error. Built artifacts are kept in a small LRU cache keyed by (class,
 path, sha256 of the bytes), so a process that loads the same file
 twice, such as a pipeline whose steps pass tables along, parses it
 once; a changed file has another digest and is parsed again. Loads
 that fail are never cached, and every hit returns a fresh copy.
+read_json gives an uncached file's JSON value, for pipeline configs.
 
 Writing. json_text gives the bytes of json.dumps(..., sort_keys=True,
 indent=1) and also takes integer numpy arrays, written as the nested
@@ -68,17 +70,31 @@ class Table:
 
     @classmethod
     def read(cls, path):
-        """(artifact, sha256 of the file's bytes) for a JSON file, parsed
-        once per process while cached (see load_artifact). A table the
-        constructor refuses is a malformed file: FIELD_ERROR."""
-        return load_artifact(path, cls, cls._parse, cls.READ_ERROR)
-
-    @classmethod
-    def _parse(cls, obj):
-        try:
-            return cls.from_json(obj)
-        except InvariantError as exc:
-            raise cls.FIELD_ERROR(str(exc)) from None
+        """(artifact, sha256 hex digest of the file's bytes) for a JSON
+        file. Reading, decoding and parsing failures raise READ_ERROR, a
+        table the constructor refuses FIELD_ERROR. The bytes are read and
+        hashed on every call; the artifact is built once per (class,
+        path, digest) while it stays in the cache. The result shares the
+        cached read-only arrays and has a provenance of its own."""
+        error = cls.READ_ERROR
+        raw = _read(path, error)
+        sha = hashlib.sha256(raw).hexdigest()
+        key = (cls, str(path), sha)
+        entry = _cache.get(key)
+        if entry is None:
+            text = _decode(raw, path, error)
+            del raw  # the bytes, text and parsed lists would otherwise coexist
+            value = _loads(text, path, error)
+            del text
+            try:
+                artifact = cls.from_json(value)
+            except InvariantError as exc:
+                raise cls.FIELD_ERROR(str(exc)) from None
+            _remember(key, artifact)
+        else:
+            _cache.move_to_end(key)
+            artifact = entry[0]
+        return _fresh(artifact), sha
 
 
 # -- reader --
@@ -89,7 +105,7 @@ _DECODER = json.JSONDecoder()
 # of about four million exponents; a larger artifact is not cached.
 CACHE_BYTES = 1 << 25
 
-# (kind, path, sha256) -> (artifact, bytes its arrays hold), oldest first
+# (class, path, sha256) -> (artifact, bytes its arrays hold), oldest first
 _cache = collections.OrderedDict()
 
 
@@ -120,34 +136,6 @@ def read_json(path, error):
     """The JSON value a file holds, uncached. A file that cannot be read,
     decoded or parsed raises error."""
     return _loads(_decode(_read(path, error), path, error), path, error)
-
-
-def load_artifact(path, kind, parse, error):
-    """(artifact, sha256 hex digest of the file's bytes) for a JSON file.
-    kind is any hashable that tells the artifact kinds apart.
-
-    parse(value) builds the artifact from the parsed JSON value and
-    raises on a value it refuses. Reading, decoding and parsing failures
-    raise error. The bytes are read and hashed on every call; the
-    artifact is built once per (kind, path, digest) while it stays in
-    the cache. The result shares the cached read-only arrays and has a
-    provenance of its own.
-    """
-    raw = _read(path, error)
-    sha = hashlib.sha256(raw).hexdigest()
-    key = (kind, str(path), sha)
-    entry = _cache.get(key)
-    if entry is None:
-        text = _decode(raw, path, error)
-        del raw  # the bytes, text and parsed lists would otherwise coexist
-        value = _loads(text, path, error)
-        del text
-        artifact = parse(value)
-        _remember(key, artifact)
-    else:
-        _cache.move_to_end(key)
-        artifact = entry[0]
-    return _fresh(artifact), sha
 
 
 def _remember(key, artifact):

@@ -55,10 +55,6 @@ def _emit(obj, out=None):
     _write(functools.partial(write_json, obj), out)
 
 
-def _load_rect(path):
-    return Rectangle.read(path)[0]
-
-
 # --- rect ---
 
 def cmd_rect(args):
@@ -69,13 +65,13 @@ def cmd_rect(args):
     elif args.rect_cmd == "extended-qfr":
         _emit(build_extended_quasi_florentine(args.p, args.n)._fields(), args.out)
     elif args.rect_cmd == "truncate":
-        R = truncate_columns(_load_rect(args.file), args.k, args.side)
+        R = truncate_columns(Rectangle.read(args.file)[0], args.k, args.side)
         _emit(R._fields(), args.out)
     elif args.rect_cmd == "product":
-        D = product_construct(_load_rect(args.fileA), _load_rect(args.fileB))
+        D = product_construct(Rectangle.read(args.fileA)[0], Rectangle.read(args.fileB)[0])
         _emit(D._fields(), args.out)
     elif args.rect_cmd == "verify":
-        R = _load_rect(args.file)
+        R = Rectangle.read(args.file)[0]
         out = {"N": R.N, "rows": R.nrows, "cols": R.ncols, "circular": args.circular}
         out["c1"] = verify_c1(R)
         if not out["c1"]:
@@ -154,7 +150,7 @@ def _paranoid_check(S, zone):
 
 def cmd_drcs(args):
     if args.drcs_cmd == "build":
-        A = _load_rect(args.rect)
+        A = Rectangle.read(args.rect)[0]
         B = load_seed(args.bh)
         S = build_drcs(A, B)
         if args.out:
@@ -220,7 +216,7 @@ def cmd_pipeline(args):
     if type(steps) is not list or any(type(s) is not list for s in steps):
         raise ParseError("pipeline config needs a steps list of argv lists")
     for step in steps:
-        step_args = _parse_step([str(x) for x in step])
+        step_args = _step_args([str(x) for x in step])
         if step_args is None:
             continue
         rc = _run(step_args, args.pipelines + (path,))
@@ -229,7 +225,7 @@ def cmd_pipeline(args):
     return 0
 
 
-def _parse_step(argv):
+def _step_args(argv):
     """Parse one pipeline step. A step argparse rejects raises ParseError
     with argparse's message, instead of printing usage text and ending
     the whole process. A help step prints its help and gives None, so

@@ -103,10 +103,6 @@ class FieldSpec:
         self._digits = np.array(rows, dtype=np.int64)
         self._digits.setflags(write=False)
 
-    @property
-    def order(self):
-        return self.p ** self.n
-
     def __repr__(self):
         return "FieldSpec(p=%d, n=%d, poly=%r)" % (self.p, self.n, list(self.poly))
 

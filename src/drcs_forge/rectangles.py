@@ -16,7 +16,6 @@ Builders refuse a table of more than TABLE_CAP entries before making it.
 import collections
 import importlib.resources
 import itertools
-import json
 import math
 
 import numpy as np
@@ -83,12 +82,9 @@ class Rectangle(Table):
 
 def load_fixture(name):
     """Bundled rectangle fixtures by name, e.g. "gqfr_z8_8x6"."""
-    text = (
-        importlib.resources.files("drcs_forge")
-        .joinpath("data/%s.json" % name)
-        .read_text()
-    )
-    return Rectangle.from_json(json.loads(text))
+    ref = importlib.resources.files("drcs_forge").joinpath("data/%s.json" % name)
+    with importlib.resources.as_file(ref) as path:
+        return Rectangle.read(path)[0]
 
 
 # --- verification ---
@@ -118,14 +114,19 @@ def _positions(R):
     -1 where row k lacks s; plus ranks, each entry's symbol index s.
 
     Symbols are indexed by rank among those that occur, so the table
-    has at most K * n columns whatever the alphabet size. Needs C1:
-    under it each row holds a symbol in one column at most.
+    has at most K * n columns whatever the alphabet size; one of more
+    than 2 * TABLE_CAP entries is refused before it is made. Needs C1:
+    a row that repeats a symbol fills fewer than n cells of its row of
+    pos, and raises C1ViolatedError.
     """
     flat = np.sort(R.rows, axis=None)
     used = flat[np.concatenate(([True], flat[1:] != flat[:-1]))]
+    _check_table(R.nrows, used.size, "position table", 2 * TABLE_CAP)
     ranks = np.searchsorted(used, R.rows)
     pos = np.full((R.nrows, used.size), -1, dtype=np.int64)
     pos[np.arange(R.nrows)[:, None], ranks] = np.arange(R.ncols)
+    if np.count_nonzero(pos >= 0) < R.rows.size:
+        raise C1ViolatedError("rectangle fails C1; C2 check is not meaningful")
     return pos, ranks
 
 
@@ -155,11 +156,6 @@ def _shift_collisions(pos, ranks, circular):
             yield i, key[order], cols[order]
 
 
-def _require_c1(R):
-    if not verify_c1(R):
-        raise C1ViolatedError("rectangle fails C1; C2 check is not meaningful")
-
-
 def verify_c2(R, circular=False):
     """The at-most-one-row pair/step condition over the whole rectangle.
 
@@ -173,7 +169,6 @@ def verify_c2(R, circular=False):
     symbol has no single position for it, so C1ViolatedError is raised
     when the precondition fails.
     """
-    _require_c1(R)
     if R.ncols < 2:
         return True
     return next(_shift_collisions(*_positions(R), circular), None) is None
@@ -190,7 +185,6 @@ def c2_witness(R, circular=False):
     neighbours in the run (or the last and first when circular), so
     only those pairs are candidates.
     """
-    _require_c1(R)
     if R.ncols < 2:
         return None
     n = R.ncols
@@ -240,14 +234,15 @@ def coincidence_count(R, i, p, tau):
 
 # Most entries a builder puts in one table: 32 MiB of int64. It admits
 # every catalog rectangle (121 x 15000 the largest) and field
-# rectangles up to order 2048.
+# rectangles up to order 2048. A C2 check's position table may hold
+# twice as many, the 64 MiB GRID_CAP allows one complex grid.
 TABLE_CAP = 1 << 22
 
 
-def _check_table(rows, cols, what):
-    if rows * cols > TABLE_CAP:
+def _check_table(rows, cols, what, cap=TABLE_CAP):
+    if rows * cols > cap:
         raise ParamsOutOfRangeError("%s would hold %d x %d entries, over the cap of %d"
-                                    % (what, rows, cols, TABLE_CAP))
+                                    % (what, rows, cols, cap))
 
 
 def build_circular_florentine(N):
@@ -324,12 +319,7 @@ def truncate_columns(R, k, side="right"):
         raise TooManyColumnsRemovedError(
             "k must satisfy 0 <= k <= %d, got %d" % (R.ncols - 2, k)
         )
-    if k == 0:
-        rows = R.rows
-    elif side == "right":
-        rows = R.rows[:, :-k]
-    else:
-        rows = R.rows[:, k:]
+    rows = R.rows[:, : R.ncols - k] if side == "right" else R.rows[:, k:]
     return Rectangle(
         R.N, rows, {"builder": "truncate", "k": k, "side": side, "base": R.provenance}
     )

@@ -5,6 +5,7 @@ import pathlib
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from drcs_forge import cli
@@ -655,6 +656,19 @@ def test_root_order_past_trial_division_refused(tmp_path, capsys, monkeypatch, a
     (tmp_path / "bh.json").write_text(
         json.dumps({"N": 2, "r": BIG_PRIME, "exps": [[0, 0], [0, 1]]}))
     code, out, err = _run_quick(capsys, *argv, "bh.json")
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "ParamsOutOfRangeError"
+
+
+def test_rect_verify_refuses_a_position_table_over_the_cap(tmp_path, capsys):
+    # rows k, ..., k + 3 mod 4099 for k < 4096: C1 holds, and the C2
+    # check's position table would hold 4096 x 4099 entries
+    path = tmp_path / "windows.json"
+    rows = (np.arange(4096)[:, None] + np.arange(4)) % 4099
+    path.write_text(json.dumps({"N": 4099, "n": 4, "rows": rows.tolist()}))
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "rect", "verify", str(path))
+    assert time.perf_counter() - t0 < 1
     assert code == 3 and out == ""
     assert json.loads(err)["error"] == "ParamsOutOfRangeError"
 

@@ -11,6 +11,7 @@ from drcs_forge.errors import (
     CapExceededError,
     DrcsForgeError,
     ParamsOutOfRangeError,
+    ParseError,
     PreconditionError,
     SameRowError,
     SchemaError,
@@ -26,6 +27,7 @@ from drcs_forge.rectangles import (
     c2_witness,
     coincidence_count,
     family_dimensions,
+    load_fixture,
     product_construct,
     product_family,
     search_max_rows,
@@ -63,6 +65,19 @@ def c1_rectangles_with_repeats(draw, max_N=12, max_rows=8):
             base = rows[draw(st.integers(0, len(rows) - 1))]
             k = draw(st.integers(0, ncols - 1)) if kind == "rotate" else 0
             rows.append(base[k:] + base[:k])
+    return Rectangle(N, rows)
+
+
+@st.composite
+def matrices_with_repeats(draw, N=6, max_rows=5):
+    """Random matrices over Z_N where any row may repeat a symbol: each
+    row is either distinct symbols or free draws."""
+    ncols = draw(st.integers(1, N))
+    rows = [
+        draw(st.permutations(range(N)))[:ncols] if draw(st.booleans())
+        else draw(st.lists(st.integers(0, N - 1), min_size=ncols, max_size=ncols))
+        for _ in range(draw(st.integers(1, max_rows)))
+    ]
     return Rectangle(N, rows)
 
 
@@ -113,6 +128,17 @@ class TestVerifyC2:
             verify_c2(R)
         # the literal oracle takes no precondition and still answers
         assert isinstance(definition_literal_c2(R.rows.tolist(), R.N), bool)
+
+    @given(matrices_with_repeats())
+    @settings(max_examples=100, deadline=None)
+    def test_c1_failure_raised_exactly_when_verify_c1_fails(self, R):
+        for circ in (False, True):
+            for check in (verify_c2, c2_witness):
+                if verify_c1(R):
+                    check(R, circular=circ)
+                else:
+                    with pytest.raises(C1ViolatedError):
+                        check(R, circular=circ)
 
     @given(c1_matrices())
     @settings(max_examples=60, deadline=None)
@@ -402,6 +428,18 @@ class TestTableCap:
                                  c=1) == (1024, 2 ** 20, 1023 * 1023)
 
 
+    def test_position_table_refused_before_allocating(self):
+        # rows k, ..., k + 3 mod 4099 for k < 4096: C1 holds, and the
+        # position table would hold 4096 x 4099 entries
+        R = Rectangle(4099, (np.arange(4096)[:, None] + np.arange(4)) % 4099)
+        for check in (verify_c2, c2_witness):
+            with pytest.raises(ParamsOutOfRangeError):
+                check(R)
+        # an extended field rectangle at q = 2048 and the largest
+        # catalog row (128 x 21632) stay under the position-table cap
+        assert max(2048 * 2049, 128 * 21632) <= 2 * TABLE_CAP
+
+
 class TestCoincidence:
     def test_shifted_rows(self):
         # these two rows collide at (0,1) step 1, so the at-most-one
@@ -492,6 +530,10 @@ class TestSerialization:
             Rectangle.from_json({"N": 3, "rows": [[0, 1]]})
         with pytest.raises(SchemaError):
             Rectangle.from_json({"N": 3, "n": 3, "rows": [[0, 1]]})
+
+    def test_missing_fixture_is_a_parse_error(self):
+        with pytest.raises(ParseError):
+            load_fixture("no_such_fixture")
 
     def test_rows_immutable(self, rect_a7):
         with pytest.raises(ValueError):
