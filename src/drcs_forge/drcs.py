@@ -11,7 +11,7 @@ import functools
 
 import numpy as np
 
-from ._artifacts import Table, write_file, write_json
+from ._artifacts import Table, _Owned, write_file, write_json
 from .errors import (
     InvariantError,
     OrderMismatchError,
@@ -63,6 +63,7 @@ class DrcsSet(Table):
     """K x M x L exponent array over Z_r plus the zone it targets."""
 
     READ_ERROR = FIELD_ERROR = SchemaError
+    TABLE_FIELD = "flocks"
 
     def __init__(self, flocks, r, zone=None, provenance=None):
         self.r = int(r)
@@ -128,6 +129,10 @@ class DrcsSet(Table):
         return cls(flocks, r, zone, prov)
 
 
+# Most entries K * M * L a built set may hold: its int64 array is 1 GiB.
+SET_CAP = 1 << 27
+
+
 def build_drcs(A, B):
     """Assemble a DRCS set from rectangle A and Butson matrix B.
 
@@ -135,22 +140,27 @@ def build_drcs(A, B):
     linear C2, and B must verify as Butson-type. The output has K = A's
     rows, M = N sequences per flock, length L = A's columns, and targets
     the full zone (-L, L) x (-L, L): flock autos vanish off the origin
-    and cross pairs stay at magnitude 0 or N everywhere.
+    and cross pairs stay at magnitude 0 or N everywhere. A set of more
+    than SET_CAP entries is refused before any check or allocation.
     """
     if B.N != A.N:
         raise OrderMismatchError(
             "rectangle alphabet Z_%d does not match Butson order %d" % (A.N, B.N)
         )
+    if A.nrows * B.N * A.ncols > SET_CAP:
+        raise ParamsOutOfRangeError(
+            "set would hold %d x %d x %d entries, over the cap of %d"
+            % (A.nrows, B.N, A.ncols, SET_CAP))
     if not verify_c1(A):
         raise RectangleClassError("rectangle fails C1")
     if not verify_c2(A, circular=False):
         raise RectangleClassError("rectangle fails linear C2")
     if not verify_bh(B):
         raise UnitarityError("matrix is not Butson-type")
-    # flocks[k, m, n] = B.exps[A.rows[k, n], m]
-    flocks = np.transpose(B.exps[A.rows], (0, 2, 1))
+    # flocks[k, m, n] = B.exps[A.rows[k, n], m], gathered in C order
+    flocks = B.exps.T[np.arange(B.N)[:, None], A.rows[:, None, :]]
     return DrcsSet(
-        flocks,
+        flocks.view(_Owned),
         B.r,
         Zone(A.ncols, A.ncols),
         {"builder": "drcs", "rectangle": A.provenance, "butson": B.provenance},

@@ -29,6 +29,8 @@ from .finite_field import is_prime
 class PhaseMatrix(Table):
     """Square exponent table over Z_r with provenance."""
 
+    TABLE_FIELD = "exps"
+
     def __init__(self, N, r, exps, provenance=None):
         self.N, self.r = int(N), int(r)
         self.exps = self._table(exps, self.r, provenance)

@@ -41,6 +41,7 @@ class Rectangle(Table):
     """Integer matrix over Z_N plus provenance describing how it was built."""
 
     FIELD_ERROR = SchemaError
+    TABLE_FIELD = "rows"
 
     def __init__(self, N, rows, provenance=None):
         self.N = int(N)

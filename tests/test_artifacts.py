@@ -1,0 +1,220 @@
+"""The fast reader of canonical artifact files, and what reading, building
+and writing a set cost in memory.
+
+A canonical file (the writer's layout) has its table parsed straight
+into an int64 array; any other file is read through json. The two paths
+must agree on every file: the same artifact, or the same error.
+"""
+
+import collections
+import contextlib
+import json
+import math
+import os
+import tracemalloc
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from drcs_forge import _artifacts
+from drcs_forge._artifacts import json_text
+from drcs_forge.drcs import DrcsSet, Zone, build_drcs, export_drcs, import_drcs
+from drcs_forge.errors import DrcsForgeError
+from drcs_forge.hadamard import PhaseMatrix, dft_matrix
+from drcs_forge.rectangles import Rectangle, build_circular_quasi_florentine
+
+# -- the fast path agrees with json --
+
+MODULI = st.sampled_from([1, 2, 3, 7, 10, 11, 300, 2 ** 40, 2 ** 63 - 1])
+
+
+@st.composite
+def artifacts(draw):
+    """A small rectangle, Butson table or set (tables need not be Butson)."""
+    kind = draw(st.sampled_from([Rectangle, PhaseMatrix, DrcsSet]))
+    modulus = draw(MODULI)
+    ndim = 3 if kind is DrcsSet else 2
+    shape = tuple(draw(st.lists(st.integers(1, 5), min_size=ndim, max_size=ndim)))
+    if kind is PhaseMatrix:
+        shape = (shape[0], shape[0])
+    size = math.prod(shape)
+    top = draw(st.sampled_from([modulus, min(modulus, 12)]))
+    values = draw(st.lists(st.integers(0, top - 1), min_size=size, max_size=size))
+    table = np.array(values, dtype=np.int64).reshape(shape)
+    provenance = draw(st.sampled_from([None, {"builder": "x", "n": [1, [2, 3]]}]))
+    if kind is Rectangle:
+        return Rectangle(modulus, table, provenance)
+    if kind is PhaseMatrix:
+        return PhaseMatrix(shape[0], modulus, table, provenance)
+    L = shape[2]
+    return DrcsSet(table, modulus, Zone(draw(st.integers(1, L)), draw(st.integers(1, L))),
+                   provenance)
+
+
+def _span(text, field):
+    """Where the table's text starts and ends in a canonical text."""
+    start = text.index('\n "%s": [' % field) + len(field) + 6
+    return start, text.index("\n ]", start) + 3
+
+
+def _replace_value(text, span, pos, token):
+    """text with one of the table's numbers, picked by pos, replaced."""
+    lines = text[span[0]:span[1]].split("\n")
+    values = [i for i, line in enumerate(lines) if line.strip(" ,")[:1].isdigit()]
+    i = values[pos % len(values)]
+    lines[i] = lines[i].replace(lines[i].strip(" ,"), token)
+    return text[:span[0]] + "\n".join(lines) + text[span[1]:]
+
+
+TOKENS = ["00", "01", "-0", "-1", "1e2", "1.0", "true", "null", "+1", "0x1", "1 2",
+          "1234567890123456789", "9223372036854775807", "9223372036854775808",
+          "-9223372036854775809", "99999999999999999999"]
+
+
+@st.composite
+def mutated(draw):
+    """(class, file bytes, whether the text is canonical): a canonical text
+    as the writer makes it, or that text mutated."""
+    A = draw(artifacts())
+    field = type(A).TABLE_FIELD
+    text = json_text(A._fields()) + "\n"
+    span = _span(text, field)
+    pos = draw(st.integers(0, 10 ** 6))
+    inside = span[0] + pos % (span[1] - span[0])
+    how = draw(st.sampled_from(["none", "token", "bracket", "unbracket", "indent", "dedent",
+                                "duplicate", "moved", "nan", "truncate", "bom", "utf16",
+                                "crlf"]))
+    if how == "token":
+        text = _replace_value(text, span, pos, draw(st.sampled_from(TOKENS)))
+    elif how == "bracket":
+        text = text[:inside] + draw(st.sampled_from(["[", "]", "[]", ","])) + text[inside:]
+    elif how == "unbracket":
+        cut = [i for i in range(*span) if text[i] in "[],"]
+        i = cut[pos % len(cut)]
+        text = text[:i] + text[i + 1:]
+    elif how in ("indent", "dedent"):
+        lines = [i for i in range(*span) if text[i] == "\n"]
+        i = lines[pos % len(lines)] + 1
+        text = text[:i] + " " + text[i:] if how == "indent" else text[:i] + text[i + 1:]
+    elif how == "duplicate":
+        # the table's key again, before or after the real one
+        extra = '\n "%s": %s,' % (field, draw(st.sampled_from(["[\n  [\n   1\n  ]\n ]", "5",
+                                                                 "null", "[]"])))
+        at = text.index("\n") if draw(st.booleans()) else text.rindex(",\n") + 1
+        text = text[:at] + extra + text[at:]
+    elif how == "moved":
+        # the table's key at the other end of the object
+        obj = json.loads(text)
+        table = obj.pop(field)
+        obj = {field: table, **obj} if text.rstrip().endswith("]\n}") else {**obj, field: table}
+        text = json.dumps(obj, indent=1) + "\n"
+    elif how == "nan":
+        text = text.replace('"provenance": {', '"provenance": {\n  "x": NaN,', 1)
+    elif how == "truncate":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    elif how == "crlf":
+        text = text.replace("\n", "\r\n")
+    if how == "bom":
+        data = b"\xef\xbb\xbf" + text.encode()
+    elif how == "utf16":
+        data = text.encode(draw(st.sampled_from(["utf-16", "utf-16-le", "utf-16-be"])))
+    else:
+        data = text.encode()
+    return type(A), data, how == "none"
+
+
+def _read(cls, path, fast):
+    """cls.read(path) through an empty cache, with or without the fast
+    path: the artifact and digest, or the error's type, payload and exit
+    code."""
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(_artifacts, "_cache", collections.OrderedDict()))
+        if not fast:
+            stack.enter_context(mock.patch.object(_artifacts, "_canonical_value",
+                                                  return_value=None))
+        try:
+            return cls.read(path)
+        except DrcsForgeError as exc:
+            return type(exc), exc.payload(), exc.exit_code
+
+
+def _same(a, b):
+    if not isinstance(a[0], _artifacts.Table):
+        return a == b
+    (x, sha_x), (y, sha_y) = a, b
+    fx, fy = x._fields(), y._fields()
+    return (sha_x == sha_y and fx.keys() == fy.keys()
+            and all(np.array_equal(fx[k], fy[k]) if isinstance(fx[k], np.ndarray)
+                    else fx[k] == fy[k] for k in fx))
+
+
+@given(mutated())
+@settings(max_examples=600, deadline=None)
+def test_fast_and_json_paths_agree(tmp_path_factory, case):
+    cls, data, canonical = case
+    path = tmp_path_factory.getbasetemp() / "agree.json"
+    path.write_bytes(data)
+    if canonical:
+        assert _artifacts._canonical_value(data, cls.TABLE_FIELD) is not None
+    fast, slow = _read(cls, path, True), _read(cls, path, False)
+    assert _same(fast, slow), (data, fast, slow)
+    if isinstance(fast[0], _artifacts.Table):
+        table = fast[0]._fields()[cls.TABLE_FIELD]
+        assert type(table) is np.ndarray and table.dtype == np.int64
+        assert not table.flags.writeable
+
+
+# -- memory --
+
+def _peak(call):
+    """call()'s result and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _million():
+    """A rectangle and a Butson table whose set has 16 x 256 x 255, about
+    a million, entries."""
+    q = build_circular_quasi_florentine(2, 8)
+    return Rectangle(q.N, q.rows[:16]), dft_matrix(256)
+
+
+def test_build_and_export_hold_about_one_array(tmp_path):
+    A, B = _million()
+    path = tmp_path / "s.json"
+    _, peak = _peak(lambda: export_drcs(build_drcs(A, B), path))
+    array = 16 * 256 * 255 * 8
+    assert peak <= 1.25 * array + B.exps.nbytes
+
+
+def test_cold_import_holds_the_file_and_about_one_array(tmp_path):
+    A, B = _million()
+    path = tmp_path / "s.json"
+    export_drcs(build_drcs(A, B), path)
+    with mock.patch.object(_artifacts, "_cache", collections.OrderedDict()):
+        S, peak = _peak(lambda: import_drcs(path))
+    assert S.flocks.shape == (16, 256, 255)
+    assert peak <= os.path.getsize(path) + 1.25 * S.flocks.nbytes
+
+
+def test_a_callers_array_is_copied():
+    user = np.zeros((2, 3, 4), dtype=np.int64)
+    for S in (DrcsSet(user, 2), DrcsSet.from_json({"flocks": user, "r": 2})):
+        assert user.flags.writeable and not S.flocks.flags.writeable
+        assert not np.shares_memory(S.flocks, user)
+
+
+def test_a_shape_larger_than_its_text_is_not_allocated():
+    """A long first row and many empty ones count as a 1001 x 1000 table,
+    but the text can hold at most one value per two bytes."""
+    text = ('{\n "rows": [\n  [\n' + ",\n".join(["   0"] * 1000) + "\n  ]"
+            + ",\n  []" * 1000 + "\n ]\n}\n")
+    raw = text.encode()
+    start, end = raw.index(b"["), raw.rfind(b"]\n ]") + 4
+    assert _artifacts._canonical_shape(raw, start, end) is None
+    assert _artifacts._canonical_value(raw, "rows") is None

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from drcs_forge import cli
+from drcs_forge import cli, drcs
 from drcs_forge.cli import main
 from drcs_forge.hadamard import dft_matrix, walsh_hadamard
 from drcs_forge.rectangles import (
@@ -581,6 +581,26 @@ def test_bh_kron_over_order_cap(tmp_path, capsys):
     assert run(capsys, "bh", "dft", "91", "--out", seed)[0] == 0
     out_file = tmp_path / "k.json"
     code, out, err = _run_small(capsys, "bh", "kron", seed, seed, "--out", str(out_file))
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "ParamsOutOfRangeError"
+    assert not out_file.exists()
+
+
+def test_drcs_build_over_set_cap(tmp_path, capsys, monkeypatch):
+    """Both inputs pass every check, but the set would hold 1024 x 1024 x
+    1023 entries (8 GiB): refused before the C1, C2 and Butson checks."""
+    rect, bh = str(tmp_path / "r.json"), str(tmp_path / "b.json")
+    assert run(capsys, "rect", "circular-qfr", "2", "10", "--out", rect)[0] == 0
+    assert run(capsys, "bh", "dft", "1024", "--out", bh)[0] == 0
+
+    def unreached(*args, **kwargs):
+        raise AssertionError("checked before the size")
+    for name in ("verify_c1", "verify_c2", "verify_bh"):
+        monkeypatch.setattr(drcs, name, unreached)
+    out_file = tmp_path / "s.json"
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "drcs", "build", rect, bh, "--out", str(out_file))
+    assert time.perf_counter() - t0 < 3
     assert code == 3 and out == ""
     assert json.loads(err)["error"] == "ParamsOutOfRangeError"
     assert not out_file.exists()
