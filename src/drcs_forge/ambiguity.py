@@ -18,7 +18,8 @@ the fast path; the two are cross-checked in tests and by the CLI
 
 A grid's largest array holds max(L, 2 Z_x - 1) * max(L, 2 Z_y - 1)
 elements and a root table as many as its order; either one over
-GRID_CAP is refused (exit 3) before anything is allocated.
+GRID_CAP (in _limits, with its cost) is refused (exit 3) before anything
+is allocated.
 
 The CSV writers print every float as "%.17g". Each distinct bit pattern
 of a grid is formatted once, by a numpy kernel that gives the bytes
@@ -33,19 +34,13 @@ import math
 
 import numpy as np
 
+from ._limits import GRID_CAP, require
 from .errors import LengthMismatchError, ParamsOutOfRangeError, ShapeMismatchError
-
-
-# Elements of the largest array one grid or root table may take: 2^22
-# (64 MiB of complex values) admits L = 1024 over its full zone.
-GRID_CAP = 1 << 22
 
 
 @functools.lru_cache(maxsize=64)
 def _roots(order):
-    if order > GRID_CAP:
-        raise ParamsOutOfRangeError(
-            "root order %d is over the cap of %d" % (order, GRID_CAP))
+    require(order, GRID_CAP, "root order %d" % order)
     w = np.exp(2j * np.pi * np.arange(order) / order)
     w.setflags(write=False)
     return w
@@ -196,10 +191,8 @@ def af_grid(C1, C2, zone, r, method="fft", pair=None):
         raise ShapeMismatchError("flocks differ in shape: %s vs %s" % (C1.shape, C2.shape))
     L = C1.shape[1]
     # P is L x L, the lag lines (2 Z_x - 1) x L, the DFT table L x (2 Z_y - 1)
-    if max(L, 2 * zone.Z_x - 1) * max(L, 2 * zone.Z_y - 1) > GRID_CAP:
-        raise ParamsOutOfRangeError(
-            "grid of length %d over %r needs arrays over the cap of %d elements"
-            % (L, zone, GRID_CAP))
+    require(max(L, 2 * zone.Z_x - 1) * max(L, 2 * zone.Z_y - 1), GRID_CAP,
+            "largest array of a grid of length %d over zone (%d, %d)" % (L, zone.Z_x, zone.Z_y))
     if method == "naive":
         values = _grid_naive(C1, C2, zone, r)
     elif method == "fft":

@@ -340,13 +340,18 @@ def main(argv=None):
 
 def _run(args, pipelines):
     """Run one parsed command; pipelines holds the resolved paths of the
-    pipeline configs whose steps are running, outermost first."""
+    pipeline configs whose steps are running, outermost first. An
+    allocation the caps let through and the machine cannot hold is
+    refused like a cap (exit 3), not left to a traceback."""
     args.pipelines = pipelines
     try:
         return _DISPATCH[args.cmd](args)
+    except MemoryError as exc:
+        error = ParamsOutOfRangeError("out of memory: %s" % (str(exc) or type(exc).__name__))
     except DrcsForgeError as exc:
-        sys.stderr.write(json_text(exc.payload()) + "\n")
-        return exc.exit_code
+        error = exc
+    sys.stderr.write(json_text(error.payload()) + "\n")
+    return error.exit_code
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ import functools
 import numpy as np
 
 from ._artifacts import Table, _Owned, write_file, write_json
+from ._limits import SET_CAP, require
 from .errors import (
     InvariantError,
     OrderMismatchError,
@@ -129,10 +130,6 @@ class DrcsSet(Table):
         return cls(flocks, r, zone, prov)
 
 
-# Most entries K * M * L a built set may hold: its int64 array is 1 GiB.
-SET_CAP = 1 << 27
-
-
 def build_drcs(A, B):
     """Assemble a DRCS set from rectangle A and Butson matrix B.
 
@@ -147,10 +144,8 @@ def build_drcs(A, B):
         raise OrderMismatchError(
             "rectangle alphabet Z_%d does not match Butson order %d" % (A.N, B.N)
         )
-    if A.nrows * B.N * A.ncols > SET_CAP:
-        raise ParamsOutOfRangeError(
-            "set would hold %d x %d x %d entries, over the cap of %d"
-            % (A.nrows, B.N, A.ncols, SET_CAP))
+    require(A.nrows * B.N * A.ncols, SET_CAP,
+            "set of %d x %d x %d entries" % (A.nrows, B.N, A.ncols))
     if not verify_c1(A):
         raise RectangleClassError("rectangle fails C1")
     if not verify_c2(A, circular=False):

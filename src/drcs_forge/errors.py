@@ -25,10 +25,6 @@ class NonPrimeError(DrcsForgeError):
     pass
 
 
-class CapExceededError(DrcsForgeError):
-    pass
-
-
 class C1ViolatedError(DrcsForgeError):
     """A C2 check was asked about a rectangle that fails C1."""
     pass

@@ -15,23 +15,15 @@ import itertools
 
 import numpy as np
 
-from .errors import CapExceededError, InvariantError, NonPrimeError, ParamsOutOfRangeError
-
-# Above this the exp/log tables stop being a desk-scale object.
-FIELD_CAP = 1 << 20
-
-# Largest number trial division is asked to factor: at most 2^19 odd
-# divisors to try, a fraction of a second.
-TRIAL_DIVISION_CAP = 1 << 40
+from ._limits import FIELD_CAP, TRIAL_DIVISION_CAP, require
+from .errors import InvariantError, NonPrimeError, ParamsOutOfRangeError
 
 
 def smallest_prime_factor(N):
     """The smallest prime dividing N >= 2, by trial division."""
     if N < 2:
         raise ParamsOutOfRangeError("need N >= 2, got %d" % N)
-    if N > TRIAL_DIVISION_CAP:
-        raise ParamsOutOfRangeError(
-            "%d is over the trial-division cap of 2^40" % N)
+    require(N, TRIAL_DIVISION_CAP, "trial division of %d" % N)
     if N % 2 == 0:
         return 2
     d = 3
@@ -49,16 +41,14 @@ def is_prime(m):
 def check_field(p, n):
     """p^n, once p is prime, n >= 1 and p^n <= FIELD_CAP; raises otherwise.
 
-    n is compared with the cap before p^n is computed, so a huge n
-    costs nothing.
+    The cap sees p^min(n, 21), over 2^20 exactly when p^n is (p >= 2),
+    so a huge n costs nothing.
     """
     if not is_prime(p):
         raise NonPrimeError("p = %d is not prime" % p)
     if n < 1:
         raise ParamsOutOfRangeError("extension degree must be >= 1, got %d" % n)
-    if n >= FIELD_CAP.bit_length() or p ** n > FIELD_CAP:  # p^n >= 2^n
-        raise CapExceededError("GF(%d^%d) is over the %d-element table cap"
-                               % (p, n, FIELD_CAP))
+    require(p ** min(n, FIELD_CAP.bit_length()), FIELD_CAP, "GF(%d^%d)" % (p, n))
     return p ** n
 
 

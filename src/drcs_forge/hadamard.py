@@ -6,7 +6,8 @@ H = omega_r^E, so constructions and Kronecker products stay exact
 integer arithmetic. The verifier works from the float Gram matrix: for
 prime r a stated rounding bound makes its verdict exact (or it counts
 exponent differences instead), for composite r it is a tolerance test.
-Builders refuse orders above ORDER_CAP before allocating anything.
+Builders refuse orders above ORDER_CAP before allocating anything; the
+cap and its cost are in _limits.
 """
 
 import math
@@ -14,6 +15,7 @@ import math
 import numpy as np
 
 from ._artifacts import Table
+from ._limits import ORDER_CAP, require
 from .errors import (
     InvariantError,
     ParamsOutOfRangeError,
@@ -65,22 +67,12 @@ class PhaseMatrix(Table):
         return cls(N, r, exps, json_object(obj.get("provenance"), "provenance", ParseError))
 
 
-# Largest order a builder makes: the int64 exponent table is 0.5 GB and
-# verify_bh's complex Gram matrix 1 GB at this order.
-ORDER_CAP = 8192
-
-
-def _check_order(N, what):
-    if N > ORDER_CAP:
-        raise ParamsOutOfRangeError("%s has order %d, over the cap of %d" % (what, N, ORDER_CAP))
-
-
 def dft_matrix(N):
     """Fourier exponents i*j mod N; a Butson matrix of order N over r = N."""
     N = int(N)
     if N < 1:
         raise ParamsOutOfRangeError("need N >= 1, got %d" % N)
-    _check_order(N, "dft matrix")
+    require(N, ORDER_CAP, "dft matrix of order %d" % N)
     i = np.arange(N, dtype=np.int64)
     return PhaseMatrix(N, N, (i[:, None] * i[None, :]) % N, {"builder": "dft", "N": N})
 
@@ -93,9 +85,8 @@ def walsh_hadamard(m):
     m = int(m)
     if m < 0:
         raise ParamsOutOfRangeError("need m >= 0, got %d" % m)
-    if m >= ORDER_CAP.bit_length():  # 2^m > ORDER_CAP, without computing 2^m
-        raise ParamsOutOfRangeError("walsh matrix has order 2^%d, over the cap of %d"
-                                    % (m, ORDER_CAP))
+    # 2^min(m, 14) is over the cap exactly when 2^m is, which is never computed
+    require(2 ** min(m, ORDER_CAP.bit_length()), ORDER_CAP, "walsh matrix of order 2^%d" % m)
     exps = np.zeros((1, 1), dtype=np.int64)
     for _ in range(m):
         exps = np.block([[exps, exps], [exps, (exps + 1) % 2]])
@@ -108,7 +99,7 @@ def kronecker(B1, B2):
     Phases add after rescaling both factors onto the common root.
     """
     N = B1.N * B2.N
-    _check_order(N, "kronecker product")
+    require(N, ORDER_CAP, "kronecker product of order %d" % N)
     r = math.lcm(B1.r, B2.r)
     s1, s2 = r // B1.r, r // B2.r
     a = (s1 * B1.exps)[:, None, :, None]
@@ -162,12 +153,23 @@ def _uniform_differences(E, r):
     return True
 
 
+# Entries of one block of the Gram matrix: 16 MiB of complex values. At
+# N <= 1024 the whole Gram matrix is one block.
+_GRAM_BLOCK = 1 << 20
+
+
 def _gram_deviation(B):
-    """max |H H* - N I| over all entries, from one float Gram product."""
-    H = B.to_complex()
-    G = H @ H.conj().T
-    G.flat[:: B.N + 1] -= B.N
-    return np.max(np.abs(G))
+    """max |H H* - N I| over all entries, from float Gram products of
+    at most _GRAM_BLOCK entries: rows i:j of conj(H H*) are conj(H[i:j])
+    H^T, and conj keeps each magnitude and the diagonal N."""
+    H, N = B.to_complex(), B.N
+    rows = max(1, _GRAM_BLOCK // N)
+    dev = 0.0
+    for i in range(0, N, rows):
+        G = H[i:i + rows].conj() @ H.T
+        G.flat[i:: N + 1] -= N
+        dev = max(dev, np.max(np.abs(G)))
+    return dev
 
 
 def verify_bh(B):

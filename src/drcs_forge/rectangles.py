@@ -10,7 +10,8 @@ the same shift between the rows. Rectangles combine through a base-N1
 product that multiplies alphabets and column counts while keeping the
 minimum of the two row counts. One table, FAMILIES, lists the named
 product families; both their builds and their closed-form sizes read it.
-Builders refuse a table of more than TABLE_CAP entries before making it.
+Builders refuse a table of more than TABLE_CAP entries before making it;
+that cap, the C2 check's and the search's are in _limits.
 """
 
 import collections
@@ -21,9 +22,9 @@ import math
 import numpy as np
 
 from ._artifacts import Table
+from ._limits import POSITION_CAP, SEARCH_CAP, SEARCH_ROWS_CAP, TABLE_CAP, require
 from .errors import (
     C1ViolatedError,
-    CapExceededError,
     InvariantError,
     ParamsOutOfRangeError,
     PreconditionError,
@@ -116,13 +117,14 @@ def _positions(R):
 
     Symbols are indexed by rank among those that occur, so the table
     has at most K * n columns whatever the alphabet size; one of more
-    than 2 * TABLE_CAP entries is refused before it is made. Needs C1:
+    than POSITION_CAP entries is refused before it is made. Needs C1:
     a row that repeats a symbol fills fewer than n cells of its row of
     pos, and raises C1ViolatedError.
     """
     flat = np.sort(R.rows, axis=None)
     used = flat[np.concatenate(([True], flat[1:] != flat[:-1]))]
-    _check_table(R.nrows, used.size, "position table", 2 * TABLE_CAP)
+    require(R.nrows * used.size, POSITION_CAP,
+            "position table of %d x %d entries" % (R.nrows, used.size))
     ranks = np.searchsorted(used, R.rows)
     pos = np.full((R.nrows, used.size), -1, dtype=np.int64)
     pos[np.arange(R.nrows)[:, None], ranks] = np.arange(R.ncols)
@@ -233,19 +235,6 @@ def coincidence_count(R, i, p, tau):
 
 # --- builders ---
 
-# Most entries a builder puts in one table: 32 MiB of int64. It admits
-# every catalog rectangle (121 x 15000 the largest) and field
-# rectangles up to order 2048. A C2 check's position table may hold
-# twice as many, the 64 MiB GRID_CAP allows one complex grid.
-TABLE_CAP = 1 << 22
-
-
-def _check_table(rows, cols, what, cap=TABLE_CAP):
-    if rows * cols > cap:
-        raise ParamsOutOfRangeError("%s would hold %d x %d entries, over the cap of %d"
-                                    % (what, rows, cols, cap))
-
-
 def build_circular_florentine(N):
     """Rows (i+1)*j mod N for i < p-1, p the smallest prime factor of N.
 
@@ -254,9 +243,9 @@ def build_circular_florentine(N):
     N = int(N)
     if N < 2:
         raise ParamsOutOfRangeError("need N >= 2, got %d" % N)
-    _check_table(1, N, "circular Florentine rectangle")  # before factoring N
+    require(N, TABLE_CAP, "Florentine rectangle of %d columns" % N)  # before factoring N
     p = smallest_prime_factor(N)
-    _check_table(p - 1, N, "circular Florentine rectangle")
+    require((p - 1) * N, TABLE_CAP, "Florentine rectangle of %d x %d entries" % (p - 1, N))
     j = np.arange(N, dtype=np.int64)
     i = np.arange(1, p, dtype=np.int64)
     rows = (i[:, None] * j[None, :]) % N
@@ -272,7 +261,7 @@ def build_circular_quasi_florentine(p, n):
     extended builder below relies on.
     """
     q = check_field(p, n)
-    _check_table(q, q - 1, "quasi-Florentine rectangle")
+    require(q * (q - 1), TABLE_CAP, "quasi-Florentine rectangle of %d x %d entries" % (q, q - 1))
     fs = find_primitive_polynomial(p, n)
     digits = fs.power_digits()          # (q-1) x n, row j = coeffs of alpha^j
     w = fs.p ** np.arange(fs.n, dtype=np.int64)
@@ -299,7 +288,7 @@ def build_extended_quasi_florentine(p, n):
     classification.
     """
     q = check_field(p, n)
-    _check_table(q, q, "extended quasi-Florentine rectangle")
+    require(q * q, TABLE_CAP, "extended quasi-Florentine rectangle of %d x %d entries" % (q, q))
     base = build_circular_quasi_florentine(p, n)
     extra = np.full((q, 1), q, dtype=np.int64)
     rows = np.hstack([base.rows, extra])
@@ -333,9 +322,9 @@ def product_construct(A, B):
     Z_{N2}; the result is min(rows) x (n*m) over Z_{N1*N2} and passes
     linear C2. Decoding an output entry mod/div N1 recovers the factors.
     """
-    _check_table(min(A.nrows, B.nrows), A.ncols * B.ncols, "product")
-    if A.N * B.N > 2 ** 63:
-        raise ParamsOutOfRangeError("product alphabet %d x %d does not fit int64" % (A.N, B.N))
+    s, n, m = min(A.nrows, B.nrows), A.ncols, B.ncols
+    require(s * n * m, TABLE_CAP, "product of %d x %d entries" % (s, n * m))
+    require(A.N * B.N, 2 ** 63, "int64 product alphabet %d x %d" % (A.N, B.N))
     if not verify_c1(A):
         raise PreconditionError("left factor fails C1")
     if not verify_c1(B):
@@ -344,8 +333,6 @@ def product_construct(A, B):
         raise PreconditionError("left factor must pass circular C2")
     if not verify_c2(B, circular=False):
         raise PreconditionError("right factor must pass linear C2")
-    s = min(A.nrows, B.nrows)
-    n, m = A.ncols, B.ncols
     N1 = A.N
     # index j = j1*n + j2 walks B-blocks outer, A-columns inner
     rows = (N1 * B.rows[:s, :, None] + A.rows[:s, None, :]).reshape(s, n * m)
@@ -441,7 +428,7 @@ def product_family(family, **params):
     (or c = 0 against a Florentine factor) means no truncation.
     """
     args, (K, _, L), factors = _family(family, params)
-    _check_table(K, L, "product family %s" % family)
+    require(K * L, TABLE_CAP, "product family %s of %d x %d entries" % (family, K, L))
     D = product_construct(*factors())
     D.provenance["family"] = family
     D.provenance["params"] = args
@@ -461,12 +448,6 @@ def family_dimensions(family, **params):
 
 # --- exhaustive search at tiny N ---
 
-SEARCH_CAP = 10
-
-# Most candidate rows the search lists up front: 8!, about 4 MB of tuples.
-_SEARCH_ROWS_CAP = 40320
-
-
 def search_max_rows(N, n, circular=False, row_cap=None):
     """Backtracking search for a maximum-row rectangle at desk scale.
 
@@ -480,14 +461,11 @@ def search_max_rows(N, n, circular=False, row_cap=None):
     candidate rows, N!/(N-n)!, before any is listed.
     """
     N, n = int(N), int(n)
-    if N > SEARCH_CAP:
-        raise CapExceededError("exhaustive search capped at N <= %d, got %d" % (SEARCH_CAP, N))
+    require(N, SEARCH_CAP, "exhaustive search at N = %d" % N)
     if not 1 <= n <= N:
         raise ParamsOutOfRangeError("need 1 <= n <= N, got n = %d" % n)
     candidates = math.perm(N, n)
-    if candidates > _SEARCH_ROWS_CAP:
-        raise ParamsOutOfRangeError("search over %d candidate rows, over the cap of %d"
-                                    % (candidates, _SEARCH_ROWS_CAP))
+    require(candidates, SEARCH_ROWS_CAP, "search of %d candidate rows" % candidates)
     if row_cap is not None and row_cap < 1:
         # the fixed first row is placed before the cap is ever checked
         raise ParamsOutOfRangeError("row cap must be at least 1, got %d" % row_cap)

@@ -230,7 +230,7 @@ def test_rect_search_refuses_row_cap_below_one(capsys, cap):
     assert json.loads(err)["error"] == "ParamsOutOfRangeError"
 
 
-@pytest.mark.parametrize("N", ["9", "10"])
+@pytest.mark.parametrize("N", ["9", "10", "11"])
 def test_rect_search_refuses_too_many_candidate_rows(capsys, N):
     t0 = time.perf_counter()
     code, out, err = run(capsys, "rect", "search", N, N)
@@ -606,6 +606,32 @@ def test_drcs_build_over_set_cap(tmp_path, capsys, monkeypatch):
     assert not out_file.exists()
 
 
+def _huge_array(*args, **kwargs):
+    np.empty(1 << 62, dtype=np.uint8)  # 4 EiB: numpy's _ArrayMemoryError
+
+
+def _no_memory(*args, **kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("builder", [_huge_array, _no_memory])
+def test_memory_error_is_exit_3_without_a_traceback(tmp_path, capsys, monkeypatch, builder):
+    monkeypatch.setattr(cli, "dft_matrix", builder)
+    code, out, err = run(capsys, "bh", "dft", "9")
+    assert code == 3 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ParamsOutOfRangeError"
+    assert payload["message"].startswith("out of memory: ")
+    # in a pipeline step too: the step fails, the pipeline stops there
+    cfg = tmp_path / "steps.json"
+    never = tmp_path / "never.json"
+    cfg.write_text(json.dumps({"steps": [["bh", "dft", "9"],
+                                         ["bh", "walsh", "1", "--out", str(never)]]}))
+    code, _, err = run(capsys, "pipeline", str(cfg))
+    assert code == 3 and not never.exists()
+    assert json.loads(err)["error"] == "ParamsOutOfRangeError"
+
+
 def _long_set(tmp_path, L, r=2):
     """A K=1, M=1 set of length L, a small JSON file whose full-zone
     grid would need arrays of (2L - 1)^2 elements."""
@@ -652,9 +678,9 @@ def _run_quick(capsys, *argv):
     (["circular-florentine", str(BIG_PRIME)], 3, "ParamsOutOfRangeError"),
     (["circular-florentine", "2053"], 3, "ParamsOutOfRangeError"),
     (["circular-qfr", str(BIG_PRIME), "1"], 3, "ParamsOutOfRangeError"),
-    (["circular-qfr", "3", "1000000"], 2, "CapExceededError"),
-    (["circular-qfr", "3", "100000000"], 2, "CapExceededError"),
-    (["circular-qfr", "2", "21"], 2, "CapExceededError"),
+    (["circular-qfr", "3", "1000000"], 3, "ParamsOutOfRangeError"),
+    (["circular-qfr", "3", "100000000"], 3, "ParamsOutOfRangeError"),
+    (["circular-qfr", "2", "21"], 3, "ParamsOutOfRangeError"),
     (["circular-qfr", "2", "12"], 3, "ParamsOutOfRangeError"),
     (["extended-qfr", "2", "12"], 3, "ParamsOutOfRangeError"),
     (["extended-qfr", str(BIG_PRIME), "1"], 3, "ParamsOutOfRangeError"),

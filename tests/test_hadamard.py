@@ -1,10 +1,12 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from drcs_forge import hadamard
 from drcs_forge.errors import InvariantError, ParamsOutOfRangeError, ParseError, UnitarityError
 from drcs_forge.hadamard import (
     ORDER_CAP,
@@ -242,6 +244,30 @@ class TestOrderCap:
             walsh_hadamard(10 ** 12)  # refused without computing 2^m
         with pytest.raises(ParamsOutOfRangeError):
             kronecker(dft_matrix(91), dft_matrix(91))
+
+    def test_verify_holds_the_gram_matrix_a_block_at_a_time(self):
+        # H is 64 MiB at N = 2048; one float Gram product of the whole
+        # matrix would add H*, G and |G|, 160 MiB more
+        B = walsh_hadamard(11)
+        tracemalloc.start()
+        try:
+            assert verify_bh(B)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2048 * 2048 * 16
+
+    @pytest.mark.parametrize("N, r", [(4, 2), (12, 6), (16, 16)])
+    def test_gram_deviation_blocks_match_one_product(self, N, r, monkeypatch):
+        # a random table, far from Butson: any block height gives the
+        # deviation of one whole Gram product
+        exps = np.random.default_rng(N).integers(0, r, size=(N, N))
+        B = PhaseMatrix(N, r, exps)
+        H = B.to_complex()
+        whole = np.max(np.abs(H @ H.conj().T - N * np.eye(N)))
+        for rows in (1, 3, N):
+            monkeypatch.setattr(hadamard, "_GRAM_BLOCK", rows * N)
+            assert hadamard._gram_deviation(B) == pytest.approx(whole, abs=1e-12)
 
 
 class TestSeeds:

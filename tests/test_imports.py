@@ -34,3 +34,21 @@ def test_no_unused_module_imports(path):
 def test_finds_an_unused_import():
     source = "import functools\nimport numpy as np\nfrom .a import b, c\n__all__ = ['c']\nnp.zeros(1)\n"
     assert unused_imports(source) == [(1, "functools"), (3, "b")]
+
+
+def test_caps_live_in_limits():
+    """Only _limits binds a module-level name ending in _CAP, and another
+    module imports each one (so reads it: no import goes unused)."""
+    bound, imported = {}, set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for name in (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)):
+                    if name.endswith("_CAP"):
+                        bound.setdefault(name, set()).add(path.name)
+            elif isinstance(node, ast.ImportFrom) and node.module == "_limits":
+                imported.update(alias.name for alias in node.names)
+    assert bound and all(where == {"_limits.py"} for where in bound.values()), bound
+    assert sorted(set(bound) - imported) == []

@@ -1,10 +1,12 @@
 """The README's CLI block runs as written: every drcs-forge line, in
-order, in an empty directory, exits 0."""
+order, in an empty directory, exits 0. Its size table lists every cap
+of _limits with the value the code has."""
 
 import pathlib
 import re
 import shlex
 
+from drcs_forge import _limits
 from drcs_forge.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -30,3 +32,20 @@ def test_cli_block_runs_top_to_bottom(tmp_path, monkeypatch, capsys):
         code = main(argv)
         capsys.readouterr()
         assert code == 0, argv
+
+
+def caps_table():
+    """{cap: value} from the README's size table rows "| `NAME_CAP` | 2^22 |",
+    a value written as b^e or a plain integer."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(\w+_CAP)` \| (\S+)", text, re.M)
+    values = {}
+    for name, value in rows:
+        base, _, exp = value.partition("^")
+        values[name] = int(base) ** int(exp or 1)
+    return values
+
+
+def test_size_table_lists_every_cap_with_its_value():
+    caps = {name: value for name, value in vars(_limits).items() if name.endswith("_CAP")}
+    assert caps and caps_table() == caps

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from drcs_forge.bounds import asymptotic_check
 from drcs_forge.errors import (
     C1ViolatedError,
-    CapExceededError,
     DrcsForgeError,
     ParamsOutOfRangeError,
     ParseError,
@@ -497,7 +496,7 @@ class TestSearch:
         assert cert["max_rows"] <= 2
 
     def test_cap_on_modulus(self):
-        with pytest.raises(CapExceededError):
+        with pytest.raises(ParamsOutOfRangeError):
             search_max_rows(11, 3)
 
     @pytest.mark.parametrize("N, n", [(9, 9), (10, 10), (9, 6)])
