@@ -18,7 +18,7 @@ reports keep both namings side by side so nothing gets transposed.
 import math
 from collections.abc import Mapping
 
-from .errors import InfeasibleError, ParamsOutOfRangeError
+from .errors import InfeasibleError, ParamsOutOfRangeError, json_int
 from .rectangles import family_dimensions
 
 
@@ -126,10 +126,9 @@ def asymptotic_check(family, rungs):
             raise ParamsOutOfRangeError("each rung must be a mapping of parameter names, "
                                         "got %r" % (rung,))
         if family == "custom":
-            try:
-                K, N, L = rung["K"], rung["N"], rung["L"]
-            except (KeyError, TypeError):
-                raise ParamsOutOfRangeError("custom rungs need K, N, L") from None
+            if not {"K", "N", "L"} <= rung.keys():
+                raise ParamsOutOfRangeError("custom rungs need K, N, L")
+            K, N, L = (json_int(rung[k], k, ParamsOutOfRangeError) for k in "KNL")
         else:
             K, N, L = family_dimensions(family, **rung)
         rows.append({

@@ -182,6 +182,19 @@ CATALOGS = {
 }
 
 
+def _row(catalog, row):
+    """A printed row; an unknown catalog or a row outside [0, len) is
+    ParamsOutOfRangeError, so row -1 never replays the last row."""
+    if catalog not in CATALOGS:
+        raise ParamsOutOfRangeError(
+            "unknown catalog %r (choose from %s)" % (catalog, ", ".join(sorted(CATALOGS)))
+        )
+    rows = CATALOGS[catalog]
+    if not 0 <= row < len(rows):
+        raise ParamsOutOfRangeError("catalog %s has %d rows, no row %d" % (catalog, len(rows), row))
+    return rows[row]
+
+
 def recompute_table_row(catalog, row, prior=False):
     """Replay the bound formula on a printed table row; returns (bound, rho).
 
@@ -190,16 +203,7 @@ def recompute_table_row(catalog, row, prior=False):
     formula is evaluated at the previously-best parameters (K_prev1,
     length N-1, zone N-1) instead of the row's own.
     """
-    try:
-        spec = CATALOGS[catalog][row]
-    except KeyError:
-        raise ParamsOutOfRangeError(
-            "unknown catalog %r (choose from %s)" % (catalog, ", ".join(sorted(CATALOGS)))
-        ) from None
-    except IndexError:
-        raise ParamsOutOfRangeError(
-            "catalog %s has %d rows, no row %d" % (catalog, len(CATALOGS[catalog]), row)
-        ) from None
+    spec = _row(catalog, row)
     N = spec["N"]
     if prior:
         K, N_len, Z_y = spec["K_prev1"], N - 1, N - 1
@@ -211,7 +215,7 @@ def recompute_table_row(catalog, row, prior=False):
 
 def check_table_row(catalog, row, tol=5e-5):
     """Raise MismatchError unless both printed rho columns replay within tol."""
-    spec = CATALOGS[catalog][row]
+    spec = _row(catalog, row)
     _, rho = recompute_table_row(catalog, row)
     _, rho_prev = recompute_table_row(catalog, row, prior=True)
     if abs(rho - spec["rho"]) > tol:

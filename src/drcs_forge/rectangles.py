@@ -471,48 +471,37 @@ def search_max_rows(N, n, circular=False, row_cap=None):
         raise ParamsOutOfRangeError("row cap must be at least 1, got %d" % row_cap)
 
     cands = list(itertools.permutations(range(N), n))
+    # bit ((m * N) + a) * N + b of a row's mask: the row holds the ordered
+    # pair (a, b) at step m. Two rows fit together iff their masks share no
+    # bit. A row never sets a bit twice (a fixes its column), so sum is OR.
+    steps = [(m, j, (j + m) % n) for m in range(1, n) for j in range(n if circular else n - m)]
+    masks = [sum(1 << ((m * N + row[j]) * N + row[k]) for m, j, k in steps) for row in cands]
+    best = [0]
+    nodes, truncated = 1, False
 
-    def keys_of(row):
-        out = []
-        for m in range(1, n):
-            span = n if circular else n - m
-            for j in range(span):
-                out.append((m, row[j], row[(j + m) % n]))
-        return out
-
-    used = set()
-    chosen = [0]
-    used.update(keys_of(cands[0]))
-    best = list(chosen)
-    state = {"nodes": 1, "truncated": False}
-
-    def dfs(start):
-        nonlocal best
+    def dfs(chosen, used, start):
+        nonlocal best, nodes, truncated
         if row_cap is not None and len(chosen) >= row_cap:
-            state["truncated"] = True
+            truncated = True
             return
         for idx in range(start, len(cands)):
-            ks = keys_of(cands[idx])
-            if any(k in used for k in ks):
+            if used & masks[idx]:
                 continue
-            used.update(ks)
-            chosen.append(idx)
-            state["nodes"] += 1
-            if len(chosen) > len(best):
-                best = list(chosen)
-            dfs(idx + 1)
-            chosen.pop()
-            used.difference_update(ks)
+            grown = chosen + [idx]
+            nodes += 1
+            if len(grown) > len(best):
+                best = grown
+            dfs(grown, used | masks[idx], idx + 1)
 
-    dfs(1)
+    dfs(best, masks[0], 1)
     rows = np.array([cands[i] for i in best], dtype=np.int64)
     rect = Rectangle(
         N, rows, {"builder": "search", "N": N, "n": n, "circular": bool(circular)}
     )
     certificate = {
         "max_rows": len(best),
-        "exhaustive": not state["truncated"],
-        "nodes": state["nodes"],
+        "exhaustive": not truncated,
+        "nodes": nodes,
         "row_cap": row_cap,
     }
     return rect, certificate

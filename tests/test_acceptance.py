@@ -8,7 +8,6 @@ import os
 import time
 
 import numpy as np
-import pytest
 
 from drcs_forge.ambiguity import af_grid, af_pair, theta_max
 from drcs_forge.bounds import af_lower_bound, optimality_factor
@@ -59,12 +58,8 @@ def _printed_product_rows():
         return json.load(fh)["rows"]
 
 
-def _bh21_seed_path():
-    override = os.environ.get("DRCS_FORGE_BH21_SEED")
-    if override:
-        return override if os.path.exists(override) else None
-    ref = importlib.resources.files("drcs_forge") / "data" / "seeds" / "bh21_3.json"
-    return str(ref) if ref.is_file() else None
+# the packaged BH(21, 3) seed; criterion 5 fails without it
+BH21_SEED = str(importlib.resources.files("drcs_forge") / "data" / "seeds" / "bh21_3.json")
 
 
 def _grid_assertions_63(S):
@@ -147,11 +142,7 @@ def test_criterion_4():
 
 
 def test_criterion_5(rect_d63):
-    path = _bh21_seed_path()
-    if path is None:
-        pytest.skip("no verify_bh-passing BH(21,3) seed supplied; "
-                    "set DRCS_FORGE_BH21_SEED to enable")
-    B21 = load_seed(path)
+    B21 = load_seed(BH21_SEED)
     assert (B21.N, B21.r) == (21, 3)
     assert verify_bh(B21)
     B63 = kronecker(dft_matrix(3), B21)
@@ -238,9 +229,7 @@ def test_criterion_8(set63, rect_d63):
     candidates = [set63]
     candidates.append(build_drcs(build_circular_quasi_florentine(3, 2), dft_matrix(9)))
     candidates.append(build_drcs(load_fixture("gqfr_z8_8x6"), dft_matrix(8)))
-    path = _bh21_seed_path()
-    if path is not None:
-        candidates.append(build_drcs(rect_d63, kronecker(dft_matrix(3), load_seed(path))))
+    candidates.append(build_drcs(rect_d63, kronecker(dft_matrix(3), load_seed(BH21_SEED))))
 
     checked = 0
     for S in candidates:

@@ -127,6 +127,14 @@ class TestAsymptotic:
         with pytest.raises(ParamsOutOfRangeError):
             asymptotic_check(family, [rung])
 
+    @pytest.mark.parametrize("field", ["K", "N", "L"])
+    @pytest.mark.parametrize("value", ["a", True, 2.5], ids=["str", "bool", "float"])
+    def test_custom_rung_needs_integer_k_n_l(self, field, value):
+        rung = {"K": 6, "N": 63, "L": 56}
+        rung[field] = value
+        with pytest.raises(ParamsOutOfRangeError):
+            asymptotic_check("custom", [rung])
+
     def test_rho_column_matches_direct_formula(self):
         out = asymptotic_check("custom", [{"K": 6, "N": 63, "L": 56}])
         row = out["rungs"][0]

@@ -529,6 +529,7 @@ def test_pipeline_twice_in_one_process(tmp_path, capsys):
 DESK_DIGESTS = {
     "rect.json": "aceaa0b1c61d1759d3b2c1dbe9b50da7666d2d509f7182304e3916cef6634c84",
     "rect_verify.json": "1be9a2f65de43f4991b9a3c7258c93a1450334e568325b891d6f8bc245e7740f",
+    "search.json": "f5dc8acda8e3ace2a19d61a6b61465c598e9eca481eccd993aa74a85691e58dd",
     "bh.json": "f2df9bf3bbe5718b92f6308ed9c2997c8baa7ec39d6101694a43a52678195ec1",
     "bh_verify.json": "5f2847be4aca7a90566ce8c9dd9435064a474dc35ce9e3d37a50293356bb3498",
     "set.json": "b035940eed04b44e450e333562ea17ce1da8edbac9b84e07c02ca1df2f385529",

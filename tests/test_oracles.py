@@ -68,10 +68,12 @@ class TestTableReplay:
             check_table_row("small_alphabet", 0, tol=1e-12)
 
     def test_bad_lookups(self):
-        with pytest.raises(ParamsOutOfRangeError):
-            recompute_table_row("no_such_catalog", 0)
-        with pytest.raises(ParamsOutOfRangeError):
-            recompute_table_row("small_alphabet", 99)
+        # row -1 would replay the last row, as a list index does
+        for replay in (recompute_table_row, check_table_row):
+            for catalog, row in [("no_such_catalog", 0), ("small_alphabet", 99),
+                                 ("small_alphabet", -1)]:
+                with pytest.raises(ParamsOutOfRangeError):
+                    replay(catalog, row)
 
 
 class TestRectangleFamilyRows:

@@ -1,3 +1,4 @@
+import itertools
 import time
 import tracemalloc
 
@@ -512,11 +513,69 @@ class TestSearch:
         assert cert["max_rows"] == 1
 
     def test_known_maximum_at_primes(self):
-        # at prime N with full-width rows the construction is optimal;
-        # N=7 also holds but the exhaustive proof takes minutes
-        for N in (3, 5):
+        # at prime N with full-width rows the construction is optimal
+        for N in (3, 5, 7):
+            t0 = time.perf_counter()
             _, cert = search_max_rows(N, N, circular=True)
-            assert cert["max_rows"] == N - 1
+            assert time.perf_counter() - t0 < 10
+            assert cert["max_rows"] == N - 1 and cert["exhaustive"]
+        assert cert["nodes"] == 32866
+
+    @pytest.mark.parametrize("N, n", [(N, n) for N in range(1, 6) for n in range(1, N + 1)])
+    def test_matches_reference_dfs(self, N, n):
+        for circular in (False, True):
+            for row_cap in (None, 1, 2, 3):
+                R, cert = search_max_rows(N, n, circular=circular, row_cap=row_cap)
+                rows, want = reference_search(N, n, circular, row_cap)
+                assert R.rows.tolist() == rows and cert == want
+
+
+def reference_search(N, n, circular, row_cap):
+    """Reference for search_max_rows: the same DFS on one set of
+    (step, a, b) key tuples, rebuilt per candidate and undone on backtrack."""
+    cands = list(itertools.permutations(range(N), n))
+
+    def keys_of(row):
+        out = []
+        for m in range(1, n):
+            span = n if circular else n - m
+            for j in range(span):
+                out.append((m, row[j], row[(j + m) % n]))
+        return out
+
+    used = set()
+    chosen = [0]
+    used.update(keys_of(cands[0]))
+    best = list(chosen)
+    state = {"nodes": 1, "truncated": False}
+
+    def dfs(start):
+        nonlocal best
+        if row_cap is not None and len(chosen) >= row_cap:
+            state["truncated"] = True
+            return
+        for idx in range(start, len(cands)):
+            ks = keys_of(cands[idx])
+            if any(k in used for k in ks):
+                continue
+            used.update(ks)
+            chosen.append(idx)
+            state["nodes"] += 1
+            if len(chosen) > len(best):
+                best = list(chosen)
+            dfs(idx + 1)
+            chosen.pop()
+            used.difference_update(ks)
+
+    dfs(1)
+    rows = [list(cands[i]) for i in best]
+    certificate = {
+        "max_rows": len(best),
+        "exhaustive": not state["truncated"],
+        "nodes": state["nodes"],
+        "row_cap": row_cap,
+    }
+    return rows, certificate
 
 
 class TestSerialization:
