@@ -2,26 +2,33 @@
 and the one reader of their files; the writer for every JSON artifact,
 and the one place an output file is opened.
 
-Reading. Table.read reads a file's bytes and builds the artifact. Every
-artifact file goes through it, the packaged fixtures included. A file
-in the writer's own layout (canonical: UTF-8 with no BOM, the table at
-"\n \"<field>\": [") takes a fast path: the table's text is parsed a
-block at a time, straight into one int64 array, and the rest of the
-document, the table replaced by a placeholder, by json. The array is
-kept only if the writer's text for it, at that indent, is the table's
-text byte for byte, which rules out leading zeros, -0, more digits
-than int64 holds, a float or boolean, and nesting that is not the
-array's shape. Any other file, or one that fails that check, is read
-as before: its bytes decoded the way json.loads decodes bytes (UTF-8,
-UTF-16 or UTF-32, told apart by a BOM or the zero-byte pattern) and
-parsed by json. Both paths give the same artifact, or the same error: a
-file that cannot be read, decoded or parsed raises the class's exit-4
-error. Built artifacts are kept in a small LRU cache keyed by (class,
-path, sha256 of the bytes), so a process that loads the same file
-twice, such as a pipeline whose steps pass tables along, parses it
-once; a changed file has another digest and is parsed again. Loads
-that fail are never cached, and every hit returns a fresh copy.
-read_json gives an uncached file's JSON value, for pipeline configs.
+Reading. Table.read builds the artifact a file holds. Every artifact
+file goes through it, the packaged fixtures included. It reads the file
+in blocks. The first pass hashes every byte, for the cache key and the
+provenance digest, and finds the table's key; a cache hit ends there.
+A file in the writer's own layout (canonical: UTF-8 with no BOM, the
+table at "\n \"<field>\": [") then takes a fast path that seeks back
+to the table. Its shape is counted off the text. The rest of the
+document, the table replaced by a placeholder, is parsed by json. The
+table's text is parsed a block at a time straight into one int64 array,
+which is kept only if the writer's text for it, at that indent, is the
+table's text byte for byte, compared a piece at a time. That rules out
+leading zeros, -0, more digits than int64 holds, a float or boolean,
+and nesting that is not the array's shape. Beside the array, the fast
+path holds a few blocks, never the file. Any other file, or one that
+fails that check, is read as before: its bytes decoded the way
+json.loads decodes bytes (UTF-8, UTF-16 or UTF-32, told apart by a BOM
+or the zero-byte pattern) and parsed by json. A pipe, which cannot be
+read twice, is read into memory first and then the same way. Both paths
+give the same artifact, or the same error: a file that cannot be read,
+decoded or parsed raises the class's exit-4 error, and a table over the
+class's size cap (Table._check_size) exit 3, on the fast path before
+its array is made. Built artifacts are kept in a small LRU cache keyed
+by (class, path, sha256 of the bytes), so a process that loads the same
+file twice, such as a pipeline whose steps pass tables along, parses it
+once; a changed file has another digest and is parsed again. Loads that
+fail are never cached, and every hit returns a fresh copy. read_json
+gives an uncached file's JSON value, for pipeline configs.
 
 Writing. json_text gives the bytes of json.dumps(..., sort_keys=True,
 indent=1) and also takes integer numpy arrays, written as the nested
@@ -33,6 +40,7 @@ output file and turns an OSError into ParseError (exit 4).
 import collections
 import copy
 import hashlib
+import io
 import json
 import math
 import warnings
@@ -95,24 +103,28 @@ class Table:
     def read(cls, path):
         """(artifact, sha256 hex digest of the file's bytes) for a JSON
         file. Reading, decoding and parsing failures raise READ_ERROR, a
-        table the constructor refuses FIELD_ERROR. The bytes are read and
-        hashed on every call; the artifact is built once per (class,
-        path, digest) while it stays in the cache. The result shares the
-        cached read-only arrays and has a provenance of its own."""
-        error = cls.READ_ERROR
-        raw = _read(path, error)
-        sha = hashlib.sha256(raw).hexdigest()
-        key = (cls, str(path), sha)
-        entry = _cache.get(key)
+        table the constructor refuses FIELD_ERROR, and a table over the
+        class's size cap ParamsOutOfRangeError (_check_size). The bytes
+        are read and hashed on every call; the artifact is built once per
+        (class, path, digest) while it stays in the cache. The result
+        shares the cached read-only arrays and has a provenance of its
+        own."""
+        error, field = cls.READ_ERROR, cls.TABLE_FIELD
+        try:
+            with open(path, "rb") as fh:
+                # a pipe cannot be read twice: its bytes are read from memory
+                src = fh if fh.seekable() else io.BytesIO(fh.read())
+                survey = _survey(src, field)
+                key = (cls, str(path), survey[0])
+                entry = _cache.get(key)
+                if entry is None:
+                    value = _canonical_value(src, field, survey, cls._check_size)
+                    if value is None:
+                        src.seek(0)
+                        value = _loads(_decode(src.read(), path, error), path, error)
+        except OSError as exc:
+            raise error("cannot read %s: %s" % (path, exc)) from None
         if entry is None:
-            value = _canonical_value(raw, cls.TABLE_FIELD)
-            if value is None:
-                text = _decode(raw, path, error)
-                del raw  # the bytes, text and parsed lists would otherwise coexist
-                value = _loads(text, path, error)
-                del text
-            else:
-                del raw
             try:
                 artifact = cls.from_json(value)
             except InvariantError as exc:
@@ -121,7 +133,12 @@ class Table:
         else:
             _cache.move_to_end(key)
             artifact = entry[0]
-        return _fresh(artifact), sha
+        return _fresh(artifact), survey[0]
+
+    @classmethod
+    def _check_size(cls, shape):
+        """Refuse, before it is allocated, a table of this shape that is
+        too large to hold; a subclass with a cap overrides it."""
 
 
 # -- reader --
@@ -171,9 +188,25 @@ def read_json(path, error):
 # object
 _LEVEL = 1
 
-# bytes of table text parsed at a time; the parse holds a few of these
-# beside the file's bytes and the array
-_PARSE_BYTES = 1 << 16
+# bytes the first pass reads at a time. It holds one block and nothing
+# else, before the array exists: a file of up to 2 MiB is read in one
+# call, a larger one never whole. Freeing a large block matters to what
+# runs next, as glibc's malloc raises its mmap threshold to the largest
+# block freed: with the 1.6 MB eval-long set read in 64 KiB blocks, the
+# ~1.2 MB grid arrays of drcs eval were mapped afresh each time, and its
+# fft grids took ~35% longer (the traced pass ~15%).
+_SURVEY_BYTES = 1 << 21
+
+# bytes the fast path reads at a time; it holds a few of these beside
+# the array
+_READ_BYTES = 1 << 16
+
+# nesting depth of the tables the fast path reads, the least maximum
+# ndim of the numpy versions supported; a deeper one goes the json way
+_MAX_NDIM = 32
+
+# the longest text of an int64, "-9223372036854775808"
+_INT_CHARS = 20
 
 # brackets and commas read as spaces, leaving np.fromstring the numbers
 _SPACES = bytes.maketrans(b"[],", b"   ")
@@ -182,67 +215,98 @@ _SPACES = bytes.maketrans(b"[],", b"   ")
 _SPAN = object()
 
 
-def _canonical_value(raw, field):
-    """The JSON value of a canonical file, its table field already an
-    _Owned int64 array; None for any other file. raw[start:end] is the
-    table's text, from its "[" to the "\n ]" that closes it."""
-    if json.detect_encoding(raw) != "utf-8":
-        return None
+def _blocks(src, lo, hi, size):
+    """src[lo:hi] of a seekable binary file, size bytes at a time."""
+    src.seek(lo)
+    while lo < hi:
+        block = src.read(min(size, hi - lo))
+        if not block:
+            return
+        lo += len(block)
+        yield block
+
+
+def _survey(src, field):
+    """(sha256 hex digest, start) of a binary file, read once from its
+    start, _SURVEY_BYTES at a time. start is where the table's text
+    begins, the "[" after the first key, or None in a file without the
+    key."""
     key = b'\n "%s": [' % field.encode()
-    start = raw.find(key)
-    if start < 0:
+    sha = hashlib.sha256()
+    pos, start, tail = 0, None, b""  # tail: the last bytes before pos
+    for block in _blocks(src, 0, src.seek(0, io.SEEK_END), _SURVEY_BYTES):
+        sha.update(block)
+        if start is None:
+            # a match that begins before the block, then one inside it
+            i = (tail + block[: len(key) - 1]).find(key)
+            j = block.find(key)
+            if i >= 0:
+                start = pos - len(tail) + i + len(key) - 1
+            elif j >= 0:
+                start = pos + j + len(key) - 1
+            tail = (tail + block[1 - len(key):])[1 - len(key):]
+        pos += len(block)
+    return sha.hexdigest(), start
+
+
+def _canonical_value(src, field, survey=None, check=None):
+    """The JSON value of a canonical file, its table field already an
+    _Owned int64 array; None for any other file. src is the file's bytes
+    or the seekable binary file, survey its _survey when known. check, if
+    given, is called with the table's shape before the array is made and
+    may refuse it. The table's text is src[start:end], from its "[" to
+    the "\n ]" that closes it."""
+    if isinstance(src, bytes):
+        src = io.BytesIO(src)
+    start = (survey or _survey(src, field))[1]
+    if start is None:
         return None
-    start += len(key) - 1
     # a nested list closes on "]\n ]"; taken from the end of the file, as
     # the fields after the table are small, and checked by _writes_as
-    end = raw.rfind(b"]\n ]") + 4
-    shape = _canonical_shape(raw, start, end) if end > start else None
-    arr = _parse_ints(raw, start, end, shape) if shape else None
-    if arr is None or not _writes_as(arr, raw, start, end):
+    end = _rfind(src, b"]\n ]", start, src.seek(0, io.SEEK_END)) + 4
+    shape = _canonical_shape(src, start, end) if end > start else None
+    value = _rest(src, field, start, end) if shape else None
+    if value is None:
         return None
-    # the placeholder NaN calls parse_constant; any other NaN or Infinity
-    # in the file would too, and the file goes the json way
-    constants = []
-
-    def constant(name):
-        constants.append(name)
-        return _SPAN
-    try:
-        rest = (raw[:start] + b"NaN" + raw[end:]).decode("utf-8", "surrogatepass")
-        value = json.JSONDecoder(parse_constant=constant).decode(rest)
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        return None
-    # with duplicate keys json keeps the last; it must be this one
-    if len(constants) != 1 or not isinstance(value, dict) or value.get(field) is not _SPAN:
+    if check is not None:
+        check(shape)
+    arr = _parse_ints(src, start, end, shape)
+    if arr is None or not _writes_as(arr, src, start, end):
         return None
     value[field] = arr.view(_Owned)
     return value
 
 
-def _canonical_shape(raw, start, end):
-    """The shape of the array whose canonical text raw[start:end] would
+def _canonical_shape(src, start, end):
+    """The shape of the array whose canonical text src[start:end] would
     be, read off the first list at each depth: the innermost one's size
     is its count of lines, any other's the "[" inside it over those
     inside each child. None where the counts fit no shape of at most
-    (end - start) / 2 entries; _writes_as checks the one returned."""
+    (end - start) / 2 entries and _MAX_NDIM axes; _writes_as checks the
+    one returned. src is bytes or a seekable binary file."""
+    if isinstance(src, bytes):
+        src = io.BytesIO(src)
     firsts = [start]  # where the first list at each depth opens
     while True:
         line = b"\n" + b" " * (_LEVEL + len(firsts)) + b"["
-        if not raw.startswith(line, firsts[-1] + 1):
+        src.seek(firsts[-1] + 1)
+        if src.read(len(line)) != line:
             break
+        if len(firsts) == _MAX_NDIM:
+            return None
         firsts.append(firsts[-1] + len(line))
     shape, inner = [], 0
     for k in range(len(firsts) - 1, -1, -1):
         # the line that closes the first list at depth k; the whole
         # table's is the last line
         closer = b"\n" + b" " * (_LEVEL + k) + b"]"
-        close = end - len(closer) if k == 0 else raw.find(closer, firsts[k], end)
+        close = end - len(closer) if k == 0 else _find(src, closer, firsts[k], end)
         if close < 0:
             return None
         if not shape:
-            size = raw.count(b"\n", firsts[k], close)
+            size = _count(src, b"\n", firsts[k], close)
         else:
-            brackets = raw.count(b"[", firsts[k] + 1, close)
+            brackets = _count(src, b"[", firsts[k] + 1, close)
             size, rest = divmod(brackets, inner + 1)
             if rest:
                 return None
@@ -254,33 +318,94 @@ def _canonical_shape(raw, start, end):
     return tuple(shape)
 
 
-def _parse_ints(raw, start, end, shape):
-    """The integers of raw[start:end] in an int64 array of the shape, read
-    _PARSE_BYTES at a time; None if the text holds anything np.fromstring
+def _find(src, pattern, lo, hi):
+    """Where pattern first occurs in src[lo:hi], or -1."""
+    pos, data = lo, b""
+    for block in _blocks(src, lo, hi, _READ_BYTES):
+        data = data[1 - len(pattern):] + block
+        pos += len(block)
+        i = data.find(pattern)
+        if i >= 0:
+            return pos - len(data) + i
+    return -1
+
+
+def _rfind(src, pattern, lo, hi):
+    """Where pattern last occurs in src[lo:hi], or -1; read from hi back."""
+    data = b""
+    while hi > lo:
+        size = min(_READ_BYTES, hi - lo)
+        hi -= size
+        src.seek(hi)
+        data = src.read(size) + data[:len(pattern) - 1]
+        i = data.rfind(pattern)
+        if i >= 0:
+            return hi + i
+    return -1
+
+
+def _count(src, byte, lo, hi):
+    """How often byte occurs in src[lo:hi]."""
+    return sum(block.count(byte) for block in _blocks(src, lo, hi, _READ_BYTES))
+
+
+def _rest(src, field, start, end):
+    """The JSON value of the file with its table's text src[start:end]
+    replaced by a placeholder, which the field must hold; None if that
+    does not parse, or the field holds something else. It is decoded as
+    UTF-8, and json refuses a BOM or the zero bytes UTF-16 and UTF-32
+    put among the first four, so a file read this way is one json.loads
+    would decode as UTF-8 too."""
+    src.seek(0)
+    head = src.read(start)
+    src.seek(end)
+    # the placeholder NaN calls parse_constant; any other NaN or Infinity
+    # in the file would too, and the file goes the json way
+    constants = []
+
+    def constant(name):
+        constants.append(name)
+        return _SPAN
+    try:
+        rest = (head + b"NaN" + src.read()).decode("utf-8", "surrogatepass")
+        value = json.JSONDecoder(parse_constant=constant).decode(rest)
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        return None
+    # with duplicate keys json keeps the last; it must be this one
+    if len(constants) != 1 or not isinstance(value, dict) or value.get(field) is not _SPAN:
+        return None
+    return value
+
+
+def _parse_ints(src, start, end, shape):
+    """The integers of src[start:end] in an int64 array of the shape, read
+    a block at a time; None if the text holds anything np.fromstring
     cannot read as whitespace-separated integers, or a count other than
     the shape's."""
     out = np.empty(shape, np.int64)
     flat = out.reshape(-1)
     filled = 0
-    p = start
+    carry = b""  # a number the block before ended in
     with warnings.catch_warnings():
         # older numpy warns, and reads on, where newer numpy raises
         warnings.simplefilter("error", DeprecationWarning)
-        while p < end:
-            q = raw.find(b"\n", min(p + _PARSE_BYTES, end), end)
-            q = end if q < 0 else q
-            block = raw[p:q].translate(_SPACES)
-            p = q
-            if block.isspace():  # np.fromstring reads one 0 from this
+        for block in _blocks(src, start, end, _READ_BYTES):
+            text = (carry + block).translate(_SPACES)
+            cut = max(text.rfind(b" "), text.rfind(b"\n")) + 1
+            text, carry = text[:cut], text[cut:]
+            if len(carry) > _INT_CHARS:
+                return None
+            if not text or text.isspace():  # np.fromstring reads one 0 from spaces
                 continue
             try:
-                values = np.fromstring(block, dtype=np.int64, sep=" ")
+                values = np.fromstring(text, dtype=np.int64, sep=" ")
             except (DeprecationWarning, ValueError):
                 return None
             if filled + values.size > flat.size:
                 return None
             flat[filled : filled + values.size] = values
             filled += values.size
+    # the text ends in "]", so no number is left over
     return out if filled == flat.size else None
 
 
@@ -288,22 +413,23 @@ class _Differs(Exception):
     pass
 
 
-def _writes_as(arr, raw, start, end):
-    """Whether the writer's text of arr at indent _LEVEL is raw[start:end];
-    compared a block at a time, without making the whole text."""
-    pos = start
+def _writes_as(arr, src, start, end):
+    """Whether the writer's text of arr at indent _LEVEL is src[start:end];
+    compared a piece at a time, without making the whole text."""
+    src.seek(start)
+    left = end - start
 
     def match(piece):
-        nonlocal pos
+        nonlocal left
         piece = piece.encode("ascii")
-        if not raw.startswith(piece, pos):
+        if len(piece) > left or src.read(len(piece)) != piece:
             raise _Differs
-        pos += len(piece)
+        left -= len(piece)
     try:
         _int_array(arr, _LEVEL, match)
     except _Differs:
         return False
-    return pos == end
+    return left == 0
 
 
 def _remember(key, artifact):
@@ -400,27 +526,40 @@ def _int_array(arr, level, write):
     brackets, a comma and j openings (the last entry closes them all).
     So an entry's token is fixed by its value and by how many lists end
     there, and a table holds the token of each (ends, value) pair, with
-    every value formatted once. An empty axis, or a value range too wide
-    for the table to stay below the entry count, goes through tolist."""
+    every value formatted once. A value range too wide for the table to
+    stay below the entry count has each block's values formatted as they
+    come instead; an empty axis goes through tolist."""
     d, n = arr.ndim, arr.size
-    lo = int(arr.min()) if n else 0
-    span = int(arr.max()) - lo + 1 if n else 0
-    if not n or (d + 1) * span > n:
+    if not n:
         _encode(arr.tolist(), level, write)
         return
+    lo = int(arr.min())
+    span = int(arr.max()) - lo + 1
+    wide = (d + 1) * span > n
     ind = ["\n" + " " * (level + k) for k in range(d + 1)]
     closes = ["".join(ind[d - i] + "]" for i in range(1, j + 1)) for j in range(d + 1)]
     seps = [closes[j] + "," + "".join(ind[d - j + i] + "[" for i in range(j)) + ind[d]
             for j in range(d)] + [closes[d]]
-    values = [int.__repr__(v) for v in range(lo, lo + span)]
-    tokens = np.array([v + s for s in seps for v in values], dtype=object)
+    if not wide:
+        values = [int.__repr__(v) for v in range(lo, lo + span)]
+        tokens = np.array([v + s for s in seps for v in values], dtype=object)
     # one more list ends at every period-th entry, for each axis
     periods = np.cumprod(arr.shape[::-1]).tolist()
     flat = arr.reshape(-1)
     write("[" + "".join(ind[k] + "[" for k in range(1, d)) + ind[d])
     for s in range(0, n, _BLOCK):
-        idx = flat[s : s + _BLOCK].astype(np.int64)
-        idx -= lo
+        block = flat[s : s + _BLOCK]
+        # the lists that end at each entry: the index of its separator, or
+        # of its token, step rows down the table from its value's
+        if wide:
+            idx, step = np.zeros(block.size, np.int64), 1
+        else:
+            idx, step = block.astype(np.int64), span
+            idx -= lo
         for p in periods:
-            idx[(p - 1 - s) % p :: p] += span
-        write("".join(tokens[idx].tolist()))
+            idx[(p - 1 - s) % p :: p] += step
+        if wide:
+            write("".join(map(str.__add__, map(int.__repr__, block.tolist()),
+                              map(seps.__getitem__, idx.tolist()))))
+        else:
+            write("".join(tokens[idx].tolist()))

@@ -8,6 +8,7 @@ row selected by rectangle entry a[k][n].
 """
 
 import functools
+import math
 
 import numpy as np
 
@@ -94,6 +95,12 @@ class DrcsSet(Table):
     def flock(self, k):
         return self.flocks[k]
 
+    @classmethod
+    def _check_size(cls, shape):
+        """Refuse a set file whose table has more than SET_CAP entries."""
+        require(math.prod(shape), SET_CAP,
+                "set file of %s entries" % " x ".join(map(str, shape)))
+
     def _fields(self):
         return {
             "K": self.K,
@@ -108,12 +115,14 @@ class DrcsSet(Table):
     @classmethod
     def from_json(cls, obj):
         """The set a parsed {K, M, L, r, flocks, zone} object holds; the
-        declared shape must match the payload."""
+        declared shape must match the payload. Nested lists of more than
+        SET_CAP entries are refused before the array is made."""
         try:
             flocks, r = obj["flocks"], obj["r"]
             zone = obj.get("zone")
         except (KeyError, TypeError) as exc:
             raise SchemaError("set JSON needs flocks, r: %s" % exc) from None
+        cls._check_size(_first_shape(flocks))
         flocks = json_int_array(flocks, "flocks", SchemaError)
         r = json_int(r, "r", SchemaError)
         if zone is not None:
@@ -128,6 +137,17 @@ class DrcsSet(Table):
             raise SchemaError("declared shape %s != payload shape %s" % (declared, flocks.shape))
         prov = json_object(obj.get("provenance"), "provenance", SchemaError) or {"source": "external"}
         return cls(flocks, r, zone, prov)
+
+
+def _first_shape(value):
+    """The length of the first list at each depth of a nested JSON list,
+    without making an array; empty for anything else, such as the array
+    the reader of a canonical file made once its shape passed the cap."""
+    shape = []
+    while isinstance(value, list):
+        shape.append(len(value))
+        value = value[0] if value else None
+    return shape
 
 
 def build_drcs(A, B):

@@ -1,9 +1,10 @@
 """The fast reader of canonical artifact files, and what reading, building
 and writing a set cost in memory.
 
-A canonical file (the writer's layout) has its table parsed straight
-into an int64 array; any other file is read through json. The two paths
-must agree on every file: the same artifact, or the same error.
+A canonical file (the writer's layout) is read in blocks and has its
+table parsed straight into an int64 array; any other file is read
+through json. The two paths must agree on every file, at every block
+size: the same artifact and digest, or the same error.
 """
 
 import collections
@@ -17,10 +18,10 @@ from unittest import mock
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from drcs_forge import _artifacts
+from drcs_forge import _artifacts, drcs
 from drcs_forge._artifacts import json_text
 from drcs_forge.drcs import DrcsSet, Zone, build_drcs, export_drcs, import_drcs
-from drcs_forge.errors import DrcsForgeError
+from drcs_forge.errors import DrcsForgeError, ParamsOutOfRangeError
 from drcs_forge.hadamard import PhaseMatrix, dft_matrix
 from drcs_forge.rectangles import Rectangle, build_circular_quasi_florentine
 
@@ -165,6 +166,63 @@ def test_fast_and_json_paths_agree(tmp_path_factory, case):
         assert not table.flags.writeable
 
 
+@given(mutated(), st.sampled_from([1, 2, 7, 64]))
+@settings(max_examples=400, deadline=None)
+def test_every_block_size_reads_as_json_does(tmp_path_factory, case, block):
+    """Blocks so small that numbers, "]\n ]" and the table's key are split
+    across them, the key in the first block or a later one."""
+    cls, data, canonical = case
+    path = tmp_path_factory.getbasetemp() / "blocks.json"
+    path.write_bytes(data)
+    slow = _read(cls, path, False)
+    with mock.patch.object(_artifacts, "_READ_BYTES", block), \
+         mock.patch.object(_artifacts, "_SURVEY_BYTES", block):
+        if canonical:
+            assert _artifacts._canonical_value(data, cls.TABLE_FIELD) is not None
+        fast = _read(cls, path, True)
+    assert _same(fast, slow), (block, data, fast, slow)
+
+
+def test_nesting_deeper_than_numpy_allows_goes_the_json_way(tmp_path):
+    """A table 70 lists deep in the writer's layout is refused as json
+    refuses it, not with numpy's ValueError."""
+    table = 0
+    for _ in range(70):
+        table = [table]
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({"N": 2, "n": 1, "rows": table}, indent=1) + "\n")
+    fast, slow = _read(Rectangle, path, True), _read(Rectangle, path, False)
+    assert fast == slow and fast[2] == 4
+
+
+# -- the size cap on set files --
+
+def _small_set_file(tmp_path):
+    """A 2 x 4 x 3 set (24 entries) in the writer's layout."""
+    q = build_circular_quasi_florentine(2, 2)
+    path = tmp_path / "s.json"
+    export_drcs(build_drcs(Rectangle(q.N, q.rows[:2]), dft_matrix(4)), path)
+    return path
+
+
+def _refuses(*args, **kwargs):
+    raise AssertionError("the table was allocated")
+
+
+def test_set_file_over_the_cap_is_refused_before_its_table_is_made(tmp_path):
+    path = _small_set_file(tmp_path)
+    with mock.patch.object(drcs, "SET_CAP", 23), \
+         mock.patch.object(_artifacts, "_parse_ints", _refuses), \
+         mock.patch.object(drcs, "json_int_array", _refuses):
+        fast, slow = _read(DrcsSet, path, True), _read(DrcsSet, path, False)
+    assert fast == slow
+    assert fast[0] is ParamsOutOfRangeError and fast[2] == 3
+    assert "2 x 4 x 3" in fast[1]["message"]
+    with mock.patch.object(drcs, "SET_CAP", 24):
+        assert _read(DrcsSet, path, True)[0].flocks.shape == (2, 4, 3)
+        assert _read(DrcsSet, path, False)[0].flocks.shape == (2, 4, 3)
+
+
 # -- memory --
 
 def _peak(call):
@@ -200,6 +258,33 @@ def test_cold_import_holds_the_file_and_about_one_array(tmp_path):
         S, peak = _peak(lambda: import_drcs(path))
     assert S.flocks.shape == (16, 256, 255)
     assert peak <= os.path.getsize(path) + 1.25 * S.flocks.nbytes
+
+
+def test_cold_import_holds_about_one_array(tmp_path):
+    """The file is read in blocks, never whole: the peak is the array and
+    a few blocks, whatever the file's size."""
+    A, B = _million()
+    path = tmp_path / "s.json"
+    export_drcs(build_drcs(A, B), path)
+    with mock.patch.object(_artifacts, "_cache", collections.OrderedDict()):
+        S, peak = _peak(lambda: import_drcs(path))
+    assert S.flocks.shape == (16, 256, 255)
+    assert os.path.getsize(path) > S.flocks.nbytes
+    assert peak <= 1.1 * S.flocks.nbytes + (1 << 20)
+
+
+def test_a_wide_value_range_is_written_and_read_a_block_at_a_time(tmp_path):
+    """Exponents spread over 2^40 leave no table of tokens to use; each
+    block's entries are formatted as they come, never the whole table."""
+    rng = np.random.default_rng(0)
+    S = DrcsSet(rng.integers(0, 2 ** 40, size=(16, 64, 63)), 2 ** 40)
+    path = tmp_path / "s.json"
+    _, peak = _peak(lambda: export_drcs(S, path))
+    assert peak <= 3 << 20
+    with mock.patch.object(_artifacts, "_cache", collections.OrderedDict()):
+        T, peak = _peak(lambda: import_drcs(path))
+    assert T == S
+    assert peak <= S.flocks.nbytes + (3 << 20)
 
 
 def test_a_callers_array_is_copied():

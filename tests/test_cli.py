@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import pathlib
+import threading
 import time
 import tracemalloc
 
@@ -662,6 +663,56 @@ def test_eval_root_order_over_cap_refused(tmp_path, capsys):
     code, out, err = _run_small(capsys, "drcs", "eval", sset)
     assert code == 3 and out == ""
     assert json.loads(err)["error"] == "ParamsOutOfRangeError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval"],
+    ["report"],
+    ["grid", "--pair", "0", "1", "--out", "g.csv"],
+], ids=["eval", "report", "grid"])
+def test_set_file_over_cap_refused(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    sset = str(tmp_path / "s.json")
+    run(capsys, "rect", "circular-qfr", "3", "2", "--out", "r.json")
+    run(capsys, "bh", "dft", "9", "--out", "h.json")
+    run(capsys, "drcs", "build", "r.json", "h.json", "--out", sset)
+    obj = json.loads(pathlib.Path(sset).read_text())
+    entries = obj["K"] * obj["M"] * obj["L"]
+    monkeypatch.setattr(drcs, "SET_CAP", entries - 1)
+    code, out, err = run(capsys, "drcs", argv[0], sset, *argv[1:])
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "ParamsOutOfRangeError"
+    assert not list(tmp_path.glob("g.*"))
+    monkeypatch.setattr(drcs, "SET_CAP", entries)
+    code, _, err = run(capsys, "drcs", argv[0], sset, *argv[1:])
+    assert code == 0, err
+
+
+def test_eval_reads_a_set_through_a_fifo(tmp_path, capsys):
+    """A FIFO cannot be read twice; the set it carries is read as the file
+    is."""
+    rect, bh, sset = (str(tmp_path / name) for name in ("r.json", "h.json", "s.json"))
+    run(capsys, "rect", "circular-qfr", "3", "2", "--out", rect)
+    run(capsys, "bh", "dft", "9", "--out", bh)
+    run(capsys, "drcs", "build", rect, bh, "--out", sset)
+    want = run(capsys, "drcs", "eval", sset)
+    fifo = str(tmp_path / "s.fifo")
+    os.mkfifo(fifo)
+    data = pathlib.Path(sset).read_bytes()
+
+    def feed():
+        with open(fifo, "wb") as fh:
+            fh.write(data)
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        got = run(capsys, "drcs", "eval", fifo)
+    finally:
+        if writer.is_alive():  # the FIFO was not opened: let the writer go
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join(10)
+    assert not writer.is_alive()
+    assert want[0] == 0 and got == want
 
 
 BIG_PRIME = 2 ** 61 - 1

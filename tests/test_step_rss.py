@@ -5,6 +5,10 @@ import pathlib
 import subprocess
 import sys
 
+from drcs_forge.drcs import build_drcs, export_drcs
+from drcs_forge.hadamard import dft_matrix
+from drcs_forge.rectangles import build_circular_quasi_florentine
+
 TOOL = pathlib.Path(__file__).resolve().parent.parent / "tools" / "step_rss.py"
 
 
@@ -19,3 +23,16 @@ def test_eval_many_pass():
     hwm = [line["VmHWM_kb"] for line in lines]
     assert hwm == sorted(hwm)
     assert all(0 < line["VmRSS_kb"] <= line["VmHWM_kb"] for line in lines)
+
+
+def test_read_a_set(tmp_path):
+    path = str(tmp_path / "s.json")
+    export_drcs(build_drcs(build_circular_quasi_florentine(3, 2), dft_matrix(9)), path)
+    proc = subprocess.run([sys.executable, str(TOOL), "--read", path], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    (line,) = [json.loads(text) for text in proc.stdout.splitlines()]
+    assert line["path"] == path and line["s"] >= 0
+    before, after = line["before"], line["after"]
+    assert before["VmHWM_kb"] <= after["VmHWM_kb"]
+    assert all(0 < m["VmRSS_kb"] <= m["VmHWM_kb"] for m in (before, after))

@@ -4,6 +4,7 @@
 Usage, from the root of a checkout (Linux only):
 
     python3 tools/step_rss.py WORKLOAD SEED
+    python3 tools/step_rss.py --read PATH
 
 WORKLOAD is a perfbench workload: eval-many, eval-long or construct. The
 tool writes its inputs from SEED into a temporary directory, as
@@ -14,6 +15,12 @@ prints one JSON line per step: argv, exit code (rc), seconds (s), and
 VmHWM and VmRSS in kB from /proc/self/status. The first line, with argv
 [], is the state once drcs_forge.cli is imported. The steps' own
 stdout is discarded.
+
+With --read, the tool instead reads the set file PATH once with
+drcs_forge.drcs.import_drcs, cold, in its own fresh process, and prints
+one JSON line: path, seconds (s), and VmHWM and VmRSS in kB before and
+after the read. That is the reader's own peak, with no benchmark runner
+around it.
 
 VmHWM starts afresh when a process is exec'd, so these lines show the
 pass's own peak. perfbench's peak_rss_mb reads ru_maxrss, which a child
@@ -65,6 +72,20 @@ def child(steps_path):
     return 0
 
 
+def read(path):
+    """Read the set file path once, printing time and memory around it."""
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    from drcs_forge.drcs import import_drcs
+
+    before = memory()
+    t0 = time.perf_counter()
+    import_drcs(path)
+    line = {"path": path, "s": round(time.perf_counter() - t0, 6), "before": before,
+            "after": memory()}
+    print(json.dumps(line), flush=True)
+    return 0
+
+
 def main(argv=None):
     sys.path[:0] = [os.path.join(ROOT, "src"), PERFBENCH]
     import run
@@ -92,4 +113,6 @@ def main(argv=None):
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--child"]:
         sys.exit(child(sys.argv[2]))
+    if sys.argv[1:2] == ["--read"] and len(sys.argv) == 3:
+        sys.exit(read(sys.argv[2]))
     sys.exit(main())
