@@ -10,13 +10,16 @@ A file in the writer's own layout (canonical: UTF-8 with no BOM, the
 table at "\n \"<field>\": [") then takes a fast path that seeks back
 to the table. Its shape is counted off the text. The rest of the
 document, the table replaced by a placeholder, is parsed by json. The
-table's text is parsed a block at a time straight into one int64 array,
-which is kept only if the writer's text for it, at that indent, is the
-table's text byte for byte, compared a piece at a time. That rules out
-leading zeros, -0, more digits than int64 holds, a float or boolean,
-and nesting that is not the array's shape. Beside the array, the fast
-path holds a few blocks, never the file. Any other file, or one that
-fails that check, is read as before: its bytes decoded the way
+table's text is parsed a block at a time straight into one array, in
+the dtype its class stores for the modulus the document declares (a
+set's narrowest signed dtype that holds r - 1, int64 otherwise). It is
+kept only if the writer's text for it, at that indent, is the table's
+text byte for byte, compared a piece at a time. That rules out leading
+zeros, -0, more digits than int64 holds, an entry the dtype cannot
+hold, a float or boolean, and nesting that is not the array's shape.
+Beside the array, the fast path holds a few blocks, never the file.
+Any other file, or one that fails that check, is read as before: its
+bytes decoded the way
 json.loads decodes bytes (UTF-8, UTF-16 or UTF-32, told apart by a BOM
 or the zero-byte pattern) and parsed by json. A pipe, which cannot be
 read twice, is read into memory first and then the same way. Both paths
@@ -53,37 +56,48 @@ from .errors import InvariantError, ParseError
 # -- tables --
 
 class _Owned(np.ndarray):
-    """A C-ordered int64 array handed over by the code that made it (the
-    reader, build_drcs): Table._table keeps it without a copy."""
+    """A C-ordered signed integer array handed over by the code that made
+    it (the reader, build_drcs), in the dtype its class stores:
+    Table._table keeps it without a copy."""
 
 
 class Table:
-    """What Rectangle, PhaseMatrix and DrcsSet share: a read-only int64
-    table with entries in [0, modulus), a provenance, the JSON form,
-    reading a file, and equality. A subclass builds its table with
-    _table, checks its shape, names the table's JSON field in
-    TABLE_FIELD, and defines _fields() (its JSON fields, the table as
-    the array itself) and from_json(obj).
+    """What Rectangle, PhaseMatrix and DrcsSet share: a read-only signed
+    integer table with entries in [0, modulus), in the class's
+    _dtype(modulus), a provenance, the JSON form, reading a file, and
+    equality. A subclass builds its table with _table, checks its shape,
+    names the table's JSON field in TABLE_FIELD, and defines _fields()
+    (its JSON fields, the table as the array itself) and from_json(obj).
+    A subclass whose dtype depends on the modulus overrides _dtype and
+    names the header field that holds the modulus in MODULUS_FIELD.
     READ_ERROR is raised for a file that cannot be read, decoded or
     parsed, FIELD_ERROR for a document that does not hold the artifact."""
 
     READ_ERROR = ParseError
     FIELD_ERROR = ParseError
     TABLE_FIELD = None
+    MODULUS_FIELD = None
+
+    @staticmethod
+    def _dtype(modulus):
+        """The dtype a table of this modulus is stored in."""
+        return np.dtype(np.int64)
 
     def _table(self, table, modulus, provenance):
-        """table as a read-only C-ordered int64 array, refused unless its
-        entries lie in [0, modulus); keeps a copy of provenance. The
-        table is a copy, so a caller's array stays the caller's, unless
-        its maker handed it over as an _Owned array."""
+        """table as a read-only C-ordered array of _dtype(modulus),
+        refused unless its entries lie in [0, modulus), checked before the
+        cast; keeps a copy of provenance. The table is a copy, so a
+        caller's array stays the caller's, unless its maker handed it over
+        as an _Owned array."""
         if type(table) is _Owned:
             table = table.view(np.ndarray)
         else:
             table = np.array(table, dtype=np.int64, order="C")
         if modulus < 1:
             raise InvariantError("modulus must be positive, got %d" % modulus)
-        if table.size and (table.min() < 0 or table.max() >= modulus):
+        if table.size and (int(table.min()) < 0 or int(table.max()) >= modulus):
             raise InvariantError("entries must lie in [0, %d)" % modulus)
+        table = table.astype(self._dtype(modulus), copy=False)
         table.setflags(write=False)
         self.provenance = dict(provenance) if provenance else {}
         return table
@@ -118,7 +132,7 @@ class Table:
                 key = (cls, str(path), survey[0])
                 entry = _cache.get(key)
                 if entry is None:
-                    value = _canonical_value(src, field, survey, cls._check_size)
+                    value = _canonical_value(src, field, survey, cls)
                     if value is None:
                         src.seek(0)
                         value = _loads(_decode(src.read(), path, error), path, error)
@@ -145,8 +159,9 @@ class Table:
 
 _DECODER = json.JSONDecoder()
 
-# Bound on the array bytes the artifact cache holds. 32 MiB takes a set
-# of about four million exponents; a larger artifact is not cached.
+# Bound on the array bytes the artifact cache holds. 32 MiB takes about
+# four million int64 entries, sixteen million of a set with r <= 2^15; a
+# larger artifact is not cached.
 CACHE_BYTES = 1 << 25
 
 # (class, path, sha256) -> (artifact, bytes its arrays hold), oldest first
@@ -249,13 +264,14 @@ def _survey(src, field):
     return sha.hexdigest(), start
 
 
-def _canonical_value(src, field, survey=None, check=None):
+def _canonical_value(src, field, survey=None, cls=Table):
     """The JSON value of a canonical file, its table field already an
-    _Owned int64 array; None for any other file. src is the file's bytes
-    or the seekable binary file, survey its _survey when known. check, if
-    given, is called with the table's shape before the array is made and
-    may refuse it. The table's text is src[start:end], from its "[" to
-    the "\n ]" that closes it."""
+    _Owned array in the dtype cls stores for the modulus the header
+    declares; None for any other file. src is the file's bytes or the
+    seekable binary file, survey its _survey when known. cls._check_size
+    is called with the table's shape before the array is made and may
+    refuse it. The table's text is src[start:end], from its "[" to the
+    "\n ]" that closes it."""
     if isinstance(src, bytes):
         src = io.BytesIO(src)
     start = (survey or _survey(src, field))[1]
@@ -268,9 +284,14 @@ def _canonical_value(src, field, survey=None, check=None):
     value = _rest(src, field, start, end) if shape else None
     if value is None:
         return None
-    if check is not None:
-        check(shape)
-    arr = _parse_ints(src, start, end, shape)
+    cls._check_size(shape)
+    modulus = value.get(cls.MODULUS_FIELD)
+    # a header from_json will refuse leaves the table int64
+    valid = type(modulus) is int and modulus >= 1
+    arr = _parse_ints(src, start, end, shape, cls._dtype(modulus) if valid else np.int64)
+    # an entry the dtype cannot hold wraps when it is stored, so the
+    # writer's text is not the file's: the file goes the json way, to the
+    # error an out-of-range entry gets there
     if arr is None or not _writes_as(arr, src, start, end):
         return None
     value[field] = arr.view(_Owned)
@@ -377,12 +398,13 @@ def _rest(src, field, start, end):
     return value
 
 
-def _parse_ints(src, start, end, shape):
-    """The integers of src[start:end] in an int64 array of the shape, read
-    a block at a time; None if the text holds anything np.fromstring
-    cannot read as whitespace-separated integers, or a count other than
-    the shape's."""
-    out = np.empty(shape, np.int64)
+def _parse_ints(src, start, end, shape, dtype):
+    """The integers of src[start:end] in an array of the shape and dtype,
+    read a block at a time: each block is parsed as int64 and stored in
+    the dtype, wrapping what it cannot hold. None if the text holds
+    anything np.fromstring cannot read as whitespace-separated integers,
+    or a count other than the shape's."""
+    out = np.empty(shape, dtype)
     flat = out.reshape(-1)
     filled = 0
     carry = b""  # a number the block before ended in

@@ -14,7 +14,9 @@ GRID_CAP = 1 << 22
 # Butson order: 512 MiB of int64 exponents (a builder peaks near twice
 # that); verify_bh adds the 1 GiB complex matrix and 16 MiB Gram blocks.
 ORDER_CAP = 8192
-# Entries K x M x L of a built set: 1 GiB of int64.
+# Entries K x M x L of a built set: at most 1 GiB, as int64 when r > 2^31;
+# a set is stored in the narrowest signed dtype that holds r - 1, so 256
+# MiB of int16 when r <= 2^15.
 SET_CAP = 1 << 27
 # Elements of GF(p^n): find_primitive_polynomial(2, 20) takes 8.4 s, 400 MB.
 FIELD_CAP = 1 << 20

@@ -62,10 +62,19 @@ class Zone:
 
 
 class DrcsSet(Table):
-    """K x M x L exponent array over Z_r plus the zone it targets."""
+    """K x M x L exponent array over Z_r plus the zone it targets. The
+    array is stored in the narrowest signed dtype that holds r - 1."""
 
     READ_ERROR = FIELD_ERROR = SchemaError
     TABLE_FIELD = "flocks"
+    MODULUS_FIELD = "r"
+
+    @staticmethod
+    def _dtype(r):
+        for dtype in (np.int8, np.int16, np.int32):
+            if r - 1 <= np.iinfo(dtype).max:
+                return np.dtype(dtype)
+        return np.dtype(np.int64)
 
     def __init__(self, flocks, r, zone=None, provenance=None):
         self.r = int(r)
@@ -172,8 +181,10 @@ def build_drcs(A, B):
         raise RectangleClassError("rectangle fails linear C2")
     if not verify_bh(B):
         raise UnitarityError("matrix is not Butson-type")
-    # flocks[k, m, n] = B.exps[A.rows[k, n], m], gathered in C order
-    flocks = B.exps.T[np.arange(B.N)[:, None], A.rows[:, None, :]]
+    # flocks[k, m, n] = B.exps[A.rows[k, n], m], gathered in C order from
+    # the N x N table cast to the set's dtype, so the set is made narrow
+    exps = B.exps.T.astype(DrcsSet._dtype(B.r))
+    flocks = exps[np.arange(B.N)[:, None], A.rows[:, None, :]]
     return DrcsSet(
         flocks.view(_Owned),
         B.r,

@@ -106,9 +106,9 @@ def json_int(value, what, error):
 def json_int_array(value, what, error):
     """A nested JSON list of integers as an int64 array; any float,
     string, boolean or ragged nesting raises error instead of being cast.
-    An int64 array, as the reader of a canonical file hands over, is
-    returned as it is."""
-    if isinstance(value, np.ndarray) and value.dtype == np.int64:
+    An array of any signed integer dtype, as the reader of a canonical
+    file hands over, is returned as it is."""
+    if isinstance(value, np.ndarray) and value.dtype.kind == "i":
         return value
     msg = "%s must be a nested list of integers" % what
     try:

@@ -2,13 +2,15 @@
 and writing a set cost in memory.
 
 A canonical file (the writer's layout) is read in blocks and has its
-table parsed straight into an int64 array; any other file is read
-through json. The two paths must agree on every file, at every block
-size: the same artifact and digest, or the same error.
+table parsed straight into an array of its class's dtype (int64, or a
+set's narrowest that holds r - 1); any other file is read through json.
+The two paths must agree on every file, at every block size: the same
+artifact and digest, or the same error.
 """
 
 import collections
 import contextlib
+import copy
 import json
 import math
 import os
@@ -16,12 +18,14 @@ import tracemalloc
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from drcs_forge import _artifacts, drcs
+from drcs_forge import _artifacts, ambiguity, drcs
 from drcs_forge._artifacts import json_text
+from drcs_forge.cli import main
 from drcs_forge.drcs import DrcsSet, Zone, build_drcs, export_drcs, import_drcs
-from drcs_forge.errors import DrcsForgeError, ParamsOutOfRangeError
+from drcs_forge.errors import DrcsForgeError, ParamsOutOfRangeError, SchemaError
 from drcs_forge.hadamard import PhaseMatrix, dft_matrix
 from drcs_forge.rectangles import Rectangle, build_circular_quasi_florentine
 
@@ -161,8 +165,10 @@ def test_fast_and_json_paths_agree(tmp_path_factory, case):
     fast, slow = _read(cls, path, True), _read(cls, path, False)
     assert _same(fast, slow), (data, fast, slow)
     if isinstance(fast[0], _artifacts.Table):
-        table = fast[0]._fields()[cls.TABLE_FIELD]
-        assert type(table) is np.ndarray and table.dtype == np.int64
+        fields = fast[0]._fields()
+        table = fields[cls.TABLE_FIELD]
+        # the class's dtype for the parsed modulus: a set's is narrow
+        assert type(table) is np.ndarray and table.dtype == cls._dtype(fields.get(cls.MODULUS_FIELD))
         assert not table.flags.writeable
 
 
@@ -261,8 +267,9 @@ def test_cold_import_holds_the_file_and_about_one_array(tmp_path):
 
 
 def test_cold_import_holds_about_one_array(tmp_path):
-    """The file is read in blocks, never whole: the peak is the array and
-    a few blocks, whatever the file's size."""
+    """The file is read in blocks, never whole: the peak is the array (int16,
+    as r = 256), the first pass's block and a few small blocks, whatever
+    the file's size."""
     A, B = _million()
     path = tmp_path / "s.json"
     export_drcs(build_drcs(A, B), path)
@@ -270,7 +277,8 @@ def test_cold_import_holds_about_one_array(tmp_path):
         S, peak = _peak(lambda: import_drcs(path))
     assert S.flocks.shape == (16, 256, 255)
     assert os.path.getsize(path) > S.flocks.nbytes
-    assert peak <= 1.1 * S.flocks.nbytes + (1 << 20)
+    assert S.flocks.dtype == np.int16
+    assert peak <= S.flocks.nbytes + _artifacts._SURVEY_BYTES + (1 << 20)
 
 
 def test_a_wide_value_range_is_written_and_read_a_block_at_a_time(tmp_path):
@@ -303,3 +311,90 @@ def test_a_shape_larger_than_its_text_is_not_allocated():
     start, end = raw.index(b"["), raw.rfind(b"]\n ]") + 4
     assert _artifacts._canonical_shape(raw, start, end) is None
     assert _artifacts._canonical_value(raw, "rows") is None
+
+
+# -- a set's dtype: the narrowest signed one that holds r - 1 --
+
+DTYPE_OF_R = {1: np.int8, 2: np.int8, 127: np.int8, 128: np.int8, 129: np.int16,
+              2 ** 15: np.int16, 2 ** 15 + 1: np.int32, 2 ** 31: np.int32,
+              2 ** 31 + 1: np.int64, 2 ** 40: np.int64}
+
+
+@st.composite
+def boundary_sets(draw):
+    """A small set whose r is at a dtype's boundary, with 0 and r - 1
+    among its entries as often as not."""
+    r = draw(st.sampled_from(sorted(DTYPE_OF_R)))
+    K, M, L = (draw(st.integers(1, 3)) for _ in range(3))
+    values = st.sampled_from([0, r - 1]) | st.integers(0, r - 1)
+    table = draw(st.lists(values, min_size=K * M * L, max_size=K * M * L))
+    zone = Zone(draw(st.integers(1, L)), draw(st.integers(1, L)))
+    return DrcsSet(np.array(table, dtype=np.int64).reshape(K, M, L), r, zone, {"source": "x"})
+
+
+@given(boundary_sets())
+@settings(max_examples=150, deadline=None)
+def test_a_set_keeps_its_dtype_and_bytes_through_both_paths(tmp_path_factory, S):
+    assert S.flocks.dtype == DTYPE_OF_R[S.r]
+    path = tmp_path_factory.getbasetemp() / "boundary.json"
+    again = tmp_path_factory.getbasetemp() / "boundary_again.json"
+    export_drcs(S, path)
+    data = path.read_bytes()
+    assert _artifacts._canonical_value(data, "flocks", cls=DrcsSet) is not None
+    for fast in (True, False):
+        T, _ = _read(DrcsSet, path, fast)
+        assert T.flocks.dtype == DTYPE_OF_R[S.r] and T == S
+        export_drcs(T, again)
+        assert again.read_bytes() == data
+
+
+def _theta_json(S, method):
+    """theta_max(S)'s JSON, or the error it raises (a root order over
+    GRID_CAP is refused)."""
+    try:
+        return json.dumps(ambiguity.theta_max(S, method=method).to_json())
+    except DrcsForgeError as exc:
+        return exc.payload()
+
+
+@given(boundary_sets(), st.sampled_from(["fft", "naive"]))
+@settings(max_examples=100, deadline=None)
+def test_theta_max_of_a_narrow_set_is_that_of_its_int64_copy(S, method):
+    wide = copy.copy(S)
+    wide.flocks = S.flocks.astype(np.int64)
+    expected = _theta_json(wide, method)
+    assert _theta_json(S, method) == expected
+    # a set too large to keep its flocks' root gathers makes them per pair
+    with mock.patch.object(ambiguity, "_KEPT_GATHERS", 0):
+        assert _theta_json(S, method) == expected
+
+
+# 2^15, 2^16 + 5 (which wraps to 5, inside [0, 300)), 70000 and 2^63 - 1
+# do not fit int16; r and -1 do, and lie outside [0, r)
+WRAPS = [2 ** 15, 2 ** 16 + 5, 70000, 2 ** 63 - 1]
+
+
+@pytest.mark.parametrize("entry", [300, -1] + WRAPS)
+def test_an_entry_out_of_range_is_refused_on_both_paths(tmp_path, capsys, entry):
+    flocks = np.array([[[0, 1, 299], [entry, 2, 3]]])
+    doc = {"K": 1, "M": 2, "L": 3, "r": 300, "flocks": flocks, "zone": [3, 3],
+           "provenance": {"source": "x"}}
+    path = tmp_path / "s.json"
+    path.write_text(json_text(doc) + "\n")
+    data = path.read_bytes()
+    # canonical as an int64 table; stored as int16, an entry that wraps
+    # leaves text of its own, so no set is made from the wrapped array
+    assert _artifacts._canonical_value(data, "flocks") is not None
+    narrow = _artifacts._canonical_value(data, "flocks", cls=DrcsSet)
+    assert (narrow is None) == (entry in WRAPS)
+    payload = {"error": "SchemaError", "message": "entries must lie in [0, 300)"}
+    for fast in (True, False):
+        assert _read(DrcsSet, path, fast) == (SchemaError, payload, 4)
+        with contextlib.ExitStack() as stack:
+            stack.enter_context(mock.patch.object(_artifacts, "_cache",
+                                                  collections.OrderedDict()))
+            if not fast:
+                stack.enter_context(mock.patch.object(_artifacts, "_canonical_value",
+                                                      return_value=None))
+            assert main(["drcs", "eval", str(path)]) == 4
+        assert json.loads(capsys.readouterr().err) == payload

@@ -33,6 +33,8 @@ def test_read_a_set(tmp_path):
     assert proc.returncode == 0, proc.stderr
     (line,) = [json.loads(text) for text in proc.stdout.splitlines()]
     assert line["path"] == path and line["s"] >= 0
+    # r = 9: one byte an entry
+    assert line["dtype"] == "int8" and line["nbytes"] == 9 * 9 * 8
     before, after = line["before"], line["after"]
     assert before["VmHWM_kb"] <= after["VmHWM_kb"]
     assert all(0 < m["VmRSS_kb"] <= m["VmHWM_kb"] for m in (before, after))

@@ -18,9 +18,10 @@ stdout is discarded.
 
 With --read, the tool instead reads the set file PATH once with
 drcs_forge.drcs.import_drcs, cold, in its own fresh process, and prints
-one JSON line: path, seconds (s), and VmHWM and VmRSS in kB before and
-after the read. That is the reader's own peak, with no benchmark runner
-around it.
+one JSON line: path, seconds (s), the set array's dtype and nbytes, and
+VmHWM and VmRSS in kB before and after the read. That is the reader's
+own peak, with no benchmark runner around it; its growth less nbytes is
+what the reader holds beside the array.
 
 VmHWM starts afresh when a process is exec'd, so these lines show the
 pass's own peak. perfbench's peak_rss_mb reads ru_maxrss, which a child
@@ -79,9 +80,9 @@ def read(path):
 
     before = memory()
     t0 = time.perf_counter()
-    import_drcs(path)
-    line = {"path": path, "s": round(time.perf_counter() - t0, 6), "before": before,
-            "after": memory()}
+    flocks = import_drcs(path).flocks
+    line = {"path": path, "s": round(time.perf_counter() - t0, 6), "dtype": str(flocks.dtype),
+            "nbytes": flocks.nbytes, "before": before, "after": memory()}
     print(json.dumps(line), flush=True)
     return 0
 
