@@ -88,16 +88,19 @@ class Table:
         refused unless its entries lie in [0, modulus), checked before the
         cast; keeps a copy of provenance. The table is a copy, so a
         caller's array stays the caller's, unless its maker handed it over
-        as an _Owned array."""
-        if type(table) is _Owned:
+        as an _Owned array. A caller's signed integer array is checked as
+        it is and copied once, in the dtype; anything else is made int64
+        first."""
+        mine = type(table) is _Owned
+        if mine:
             table = table.view(np.ndarray)
-        else:
-            table = np.array(table, dtype=np.int64, order="C")
+        elif not (isinstance(table, np.ndarray) and table.dtype.kind == "i"):
+            table, mine = np.array(table, dtype=np.int64, order="C"), True
         if modulus < 1:
             raise InvariantError("modulus must be positive, got %d" % modulus)
         if table.size and (int(table.min()) < 0 or int(table.max()) >= modulus):
             raise InvariantError("entries must lie in [0, %d)" % modulus)
-        table = table.astype(self._dtype(modulus), copy=False)
+        table = (np.asarray if mine else np.array)(table, dtype=self._dtype(modulus), order="C")
         table.setflags(write=False)
         self.provenance = dict(provenance) if provenance else {}
         return table

@@ -93,12 +93,6 @@ class AfGrid:
         return np.abs(self.values)
 
 
-# complex elements of the root gathers theta_max keeps, two a set entry
-# (the naive path keeps one int64 an entry): 16 MiB holds the N = 160
-# catalog set's (K = 9, M = 160, L = 135); the N = 304 set's 44 MB
-# bought no time its scan could show
-_KEPT_GATHERS = 1 << 20
-
 # elements of the naive path's per-block temporaries: shifts are taken
 # as many at a time as keep the M x shifts x L gathers this small
 _NAIVE_BLOCK = 1 << 16
@@ -121,49 +115,23 @@ def _naive_tables(L, Z_x, Z_y):
     return cols, inside, single, W
 
 
-class _Flock:
-    """One flock's exponents and the operands the grid paths make from
-    them, each made on first use and kept: theta_max hands af_grid one
-    _Flock per flock, so a flock's root gathers are made once for every
-    pair it is in, not once a pair. C keeps an integer array's dtype
-    (a set's may be narrow); anything else is cast to int64."""
-
-    def __init__(self, C, r):
-        C = np.asarray(C)
-        self.C = C if C.dtype.kind == "i" else C.astype(np.int64)
-        self.r = r
-
-    @functools.cached_property
-    def reduced(self):
-        """C mod r as int64, for the naive path."""
-        return np.asarray(self.C, dtype=np.int64) % self.r
-
-    @functools.cached_property
-    def roots(self):
-        """w_r^C, gathered with wrap as C mod r would index."""
-        return _roots(self.r).take(self.C, mode="wrap")
-
-    @functools.cached_property
-    def conj_roots(self):
-        """conj(w_r)^C, from a table of its own."""
-        return _conj_roots(self.r).take(self.C, mode="wrap")
-
-
-def _grid_naive(F1, F2, zone, r):
+def _grid_naive(C1, C2, zone, r):
     """Direct DFT of the lag lines, independent of the fft path: the line
     at shift tau is g(t) = sum_m w_r^(C1[m, t] - C2[m, t + tau]), summed
     in m order from integer exponent differences and zero where t + tau
     leaves [0, L). The grid is G @ W with W[t, nu] = w_L^((nu t) mod L).
 
-    Both flocks are reduced mod r (_Flock.reduced), so every difference
-    lies in (-r, r) and indexes the root table directly. Lines are built
-    for a block of shifts at a time, no temporary over _NAIVE_BLOCK elements
-    (or one shift's M x L). A line with a single term is summed on its
-    own, as an M x 1 column, which numpy adds pairwise and not in m
-    order; that keeps each line's bits independent of the blocking."""
-    w = _roots(r)
-    C1, C2 = F1.reduced, F2.reduced
+    Both flocks are widened to int64 and reduced mod r once, so every
+    difference lies in (-r, r) and indexes the root table directly. Lines
+    are built for a block of shifts at a time, no temporary over
+    _NAIVE_BLOCK elements (or one shift's M x L). A line with a single
+    term is summed on its own, as an M x 1 column, which numpy adds
+    pairwise and not in m order; that keeps each line's bits independent
+    of the blocking."""
     M, L = C1.shape
+    w = _roots(r)
+    C1 = C1.astype(np.int64) % r
+    C2 = C2.astype(np.int64) % r
     cols, inside, single, W = _naive_tables(L, zone.Z_x, zone.Z_y)
     G = np.empty(cols.shape, dtype=np.complex128)
     step = max(1, _NAIVE_BLOCK // (M * L))
@@ -200,14 +168,14 @@ def _lag_gather(L, Z_x, Z_y):
     return flat, inside, nus
 
 
-def _grid_fft(F1, F2, zone, r):
+def _grid_fft(C1, C2, zone, r):
     """Every lag product is a diagonal of P = (w^C1)^T conj(w^C2): the
     line at shift tau is g(t) = P[t, t + tau], zero where t + tau leaves
     [0, L). All lines go through one inverse DFT along t, scaled by L in
-    place; nu bins are sampled mod L. The root gathers are the flocks'
-    (_Flock.roots, _Flock.conj_roots)."""
-    L = F1.C.shape[1]
-    P = F1.roots.T @ F2.conj_roots
+    place; nu bins are sampled mod L. The root gathers wrap exponents
+    into [0, r), as C % r does, and read conj(w) from a table of its own."""
+    L = C1.shape[1]
+    P = _roots(r).take(C1, mode="wrap").T @ _conj_roots(r).take(C2, mode="wrap")
     flat, inside, nus = _lag_gather(L, zone.Z_x, zone.Z_y)
     g = np.fft.ifft(np.where(inside, P.ravel().take(flat), 0), axis=1)
     g *= L
@@ -215,12 +183,14 @@ def _grid_fft(F1, F2, zone, r):
 
 
 def af_grid(C1, C2, zone, r, method="fft", pair=None):
-    """Evaluate the full lattice of exponent arrays C1 and C2 (or the
-    _Flock operands theta_max hands over); method is "fft" or "naive". A
-    grid whose largest array would exceed GRID_CAP elements is refused
-    before anything is allocated."""
-    F1, F2 = (C if isinstance(C, _Flock) else _Flock(C, r) for C in (C1, C2))
-    C1, C2 = F1.C, F2.C
+    """Evaluate the full lattice; method is "fft" or "naive". An integer
+    array keeps its dtype (a set's flocks may be narrow: the fft path's
+    gathers take them as indices, the naive path widens them); anything
+    else is cast to int64. A grid whose
+    largest array would exceed GRID_CAP elements is refused before
+    anything is allocated."""
+    C1, C2 = (C if C.dtype.kind == "i" else C.astype(np.int64)
+              for C in map(np.asarray, (C1, C2)))
     if C1.shape != C2.shape or C1.ndim != 2:
         raise ShapeMismatchError("flocks differ in shape: %s vs %s" % (C1.shape, C2.shape))
     L = C1.shape[1]
@@ -228,9 +198,9 @@ def af_grid(C1, C2, zone, r, method="fft", pair=None):
     require(max(L, 2 * zone.Z_x - 1) * max(L, 2 * zone.Z_y - 1), GRID_CAP,
             "largest array of a grid of length %d over zone (%d, %d)" % (L, zone.Z_x, zone.Z_y))
     if method == "naive":
-        values = _grid_naive(F1, F2, zone, r)
+        values = _grid_naive(C1, C2, zone, r)
     elif method == "fft":
-        values = _grid_fft(F1, F2, zone, r)
+        values = _grid_fft(C1, C2, zone, r)
     else:
         raise ParamsOutOfRangeError("method must be naive or fft, got %r" % method)
     return AfGrid(values, zone, L, pair=pair)
@@ -298,18 +268,14 @@ def theta_max(S, zone=None, method="fft"):
     nu) within tol = 64*M*L*eps of its peak, so float noise cannot decide
     a tie and both methods name the same cell. A zone wider than L is
     refused, as DrcsSet refuses it: its nu = +-L bins alias the origin.
-    Each flock's operands are made once, for all 2K - 1 pairs it is in,
-    while they fit in _KEPT_GATHERS; a larger set's are made per pair.
     """
     zone = zone if zone is not None else S.zone
     zone.check_length(S.L)
     tol = 64 * S.M * S.L * np.finfo(float).eps
-    keep = 2 * S.flocks.size <= _KEPT_GATHERS
-    flocks = [_Flock(S.flock(k), S.r) if keep else S.flock(k) for k in range(S.K)]
 
     def grids(pairs):
         for k1, k2 in pairs:
-            yield af_grid(flocks[k1], flocks[k2], zone, S.r, method, (k1, k2))
+            yield af_grid(S.flock(k1), S.flock(k2), zone, S.r, method, (k1, k2))
 
     autos = [(k, k) for k in range(S.K)]
     crosses = [(k1, k2) for k1 in range(S.K) for k2 in range(S.K) if k1 != k2]

@@ -296,10 +296,23 @@ def test_a_wide_value_range_is_written_and_read_a_block_at_a_time(tmp_path):
 
 
 def test_a_callers_array_is_copied():
-    user = np.zeros((2, 3, 4), dtype=np.int64)
-    for S in (DrcsSet(user, 2), DrcsSet.from_json({"flocks": user, "r": 2})):
-        assert user.flags.writeable and not S.flocks.flags.writeable
-        assert not np.shares_memory(S.flocks, user)
+    # int8 is the set's own dtype for r = 2: that copy is not a cast's
+    for user in (np.zeros((2, 3, 4), dtype=np.int64), np.zeros((2, 3, 4), dtype=np.int8)):
+        for S in (DrcsSet(user, 2), DrcsSet.from_json({"flocks": user, "r": 2})):
+            assert user.flags.writeable and not S.flocks.flags.writeable
+            assert not np.shares_memory(S.flocks, user)
+
+
+def test_a_callers_wide_array_costs_one_narrow_copy():
+    user = np.zeros((16, 256, 256), dtype=np.int64)
+    tracemalloc.start()
+    try:
+        S = DrcsSet(user, 300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert S.flocks.dtype == np.int16
+    assert peak < S.flocks.nbytes + (1 << 16)
 
 
 def test_a_shape_larger_than_its_text_is_not_allocated():
@@ -364,9 +377,6 @@ def test_theta_max_of_a_narrow_set_is_that_of_its_int64_copy(S, method):
     wide.flocks = S.flocks.astype(np.int64)
     expected = _theta_json(wide, method)
     assert _theta_json(S, method) == expected
-    # a set too large to keep its flocks' root gathers makes them per pair
-    with mock.patch.object(ambiguity, "_KEPT_GATHERS", 0):
-        assert _theta_json(S, method) == expected
 
 
 # 2^15, 2^16 + 5 (which wraps to 5, inside [0, 300)), 70000 and 2^63 - 1
