@@ -4,31 +4,31 @@ and the one place an output file is opened.
 
 Reading. Table.read builds the artifact a file holds. Every artifact
 file goes through it, the packaged fixtures included. It reads the file
-in blocks. The first pass hashes every byte, for the cache key and the
-provenance digest, and finds the table's key; a cache hit ends there.
-A file in the writer's own layout (canonical: UTF-8 with no BOM, the
-table at "\n \"<field>\": [") then takes a fast path that seeks back
-to the table. Its shape is counted off the text. The rest of the
-document, the table replaced by a placeholder, is parsed by json. The
-table's text is parsed a block at a time straight into one array, in
-the dtype its class stores for the modulus the document declares (a
-set's narrowest signed dtype that holds r - 1, int64 otherwise). It is
-kept only if the writer's text for it, at that indent, is the table's
-text byte for byte, compared a piece at a time. That rules out leading
-zeros, -0, more digits than int64 holds, an entry the dtype cannot
-hold, a float or boolean, and nesting that is not the array's shape.
-Beside the array, the fast path holds a few blocks, never the file.
-Any other file, or one that fails that check, is read as before: its
-bytes decoded the way
-json.loads decodes bytes (UTF-8, UTF-16 or UTF-32, told apart by a BOM
-or the zero-byte pattern) and parsed by json. A pipe, which cannot be
-read twice, is read into memory first and then the same way. Both paths
-give the same artifact, or the same error: a file that cannot be read,
-decoded or parsed raises the class's exit-4 error, and a table over the
-class's size cap (Table._check_size) exit 3, on the fast path before
-its array is made. Built artifacts are kept in a small LRU cache keyed
-by (class, path, sha256 of the bytes), so a process that loads the same
-file twice, such as a pipeline whose steps pass tables along, parses it
+in blocks. The first pass only hashes every byte, through one reused
+buffer, for the cache key and the provenance digest; a cache hit ends
+there. On a miss, a file in the writer's own layout (canonical: UTF-8
+with no BOM, the table at "\n \"<field>\": [") takes a fast path that
+finds the table's key and seeks to the table. Its shape is counted off
+the text. The rest of the document, the table replaced by a
+placeholder, is parsed by json. The table's text is parsed a block at a
+time straight into one array, in the dtype its class stores for the
+modulus the document declares (a set's narrowest signed dtype that
+holds r - 1, int64 otherwise). It is kept only if the writer's text for
+it, at that indent, is the table's text byte for byte, compared a piece
+at a time. That rules out leading zeros, -0, more digits than int64
+holds, an entry the dtype cannot hold, a float or boolean, and nesting
+that is not the array's shape. Beside the array, the fast path holds a
+few blocks, never the file. Any other file, or one that fails that
+check, is read as before: its bytes decoded the way json.loads decodes
+bytes (UTF-8, UTF-16 or UTF-32, told apart by a BOM or the zero-byte
+pattern) and parsed by json. A pipe, which cannot be read twice, is
+read into memory first and then the same way. Both paths give the same
+artifact, or the same error: a file that cannot be read, decoded or
+parsed raises the class's exit-4 error, and a table over the class's
+size cap (Table._check_size) exit 3, on the fast path before its array
+is made. Built artifacts are kept in a small LRU cache keyed by (class,
+path, sha256 of the bytes), so a process that loads the same file
+twice, such as a pipeline whose steps pass tables along, parses it
 once; a changed file has another digest and is parsed again. Loads that
 fail are never cached, and every hit returns a fresh copy. read_json
 gives an uncached file's JSON value, for pipeline configs.
@@ -131,11 +131,11 @@ class Table:
             with open(path, "rb") as fh:
                 # a pipe cannot be read twice: its bytes are read from memory
                 src = fh if fh.seekable() else io.BytesIO(fh.read())
-                survey = _survey(src, field)
-                key = (cls, str(path), survey[0])
+                digest = _digest(src)
+                key = (cls, str(path), digest)
                 entry = _cache.get(key)
                 if entry is None:
-                    value = _canonical_value(src, field, survey, cls)
+                    value = _canonical_value(src, field, cls)
                     if value is None:
                         src.seek(0)
                         value = _loads(_decode(src.read(), path, error), path, error)
@@ -150,7 +150,7 @@ class Table:
         else:
             _cache.move_to_end(key)
             artifact = entry[0]
-        return _fresh(artifact), survey[0]
+        return _fresh(artifact), digest
 
     @classmethod
     def _check_size(cls, shape):
@@ -206,13 +206,14 @@ def read_json(path, error):
 # object
 _LEVEL = 1
 
-# bytes the first pass reads at a time. It holds one block and nothing
-# else, before the array exists: a file of up to 2 MiB is read in one
-# call, a larger one never whole. Freeing a large block matters to what
-# runs next, as glibc's malloc raises its mmap threshold to the largest
-# block freed: with the 1.6 MB eval-long set read in 64 KiB blocks, the
-# ~1.2 MB grid arrays of drcs eval were mapped afresh each time, and its
-# fft grids took ~35% longer (the traced pass ~15%).
+# bytes of the first pass's one buffer: it hashes the file through
+# min(file size, this) bytes and holds nothing else, so a file of up to
+# 2 MiB is read in one call and a larger one never whole. Freeing this
+# one buffer is what keeps glibc's mmap threshold, which malloc raises to
+# the largest mapped block freed, above the ~1.2 MB grid temporaries of
+# eval-long's drcs eval: with its 1.6 MB set read in 64 KiB blocks, those
+# were mapped afresh each time, and its fft grids took ~35% longer (the
+# traced pass ~15%).
 _SURVEY_BYTES = 1 << 21
 
 # bytes the fast path reads at a time; it holds a few of these beside
@@ -244,45 +245,34 @@ def _blocks(src, lo, hi, size):
         yield block
 
 
-def _survey(src, field):
-    """(sha256 hex digest, start) of a binary file, read once from its
-    start, _SURVEY_BYTES at a time. start is where the table's text
-    begins, the "[" after the first key, or None in a file without the
-    key."""
-    key = b'\n "%s": [' % field.encode()
+def _digest(src):
+    """The sha256 hex digest of a seekable binary file, read from its
+    start into one buffer of min(size, _SURVEY_BYTES) bytes, reused for
+    every block."""
     sha = hashlib.sha256()
-    pos, start, tail = 0, None, b""  # tail: the last bytes before pos
-    for block in _blocks(src, 0, src.seek(0, io.SEEK_END), _SURVEY_BYTES):
-        sha.update(block)
-        if start is None:
-            # a match that begins before the block, then one inside it
-            i = (tail + block[: len(key) - 1]).find(key)
-            j = block.find(key)
-            if i >= 0:
-                start = pos - len(tail) + i + len(key) - 1
-            elif j >= 0:
-                start = pos + j + len(key) - 1
-            tail = (tail + block[1 - len(key):])[1 - len(key):]
-        pos += len(block)
-    return sha.hexdigest(), start
+    view = memoryview(bytearray(min(src.seek(0, io.SEEK_END), _SURVEY_BYTES)))
+    src.seek(0)
+    while n := src.readinto(view):
+        sha.update(view[:n])
+    return sha.hexdigest()
 
 
-def _canonical_value(src, field, survey=None, cls=Table):
+def _canonical_value(src, field, cls=Table):
     """The JSON value of a canonical file, its table field already an
     _Owned array in the dtype cls stores for the modulus the header
-    declares; None for any other file. src is the file's bytes or the
-    seekable binary file, survey its _survey when known. cls._check_size
-    is called with the table's shape before the array is made and may
-    refuse it. The table's text is src[start:end], from its "[" to the
-    "\n ]" that closes it."""
-    if isinstance(src, bytes):
-        src = io.BytesIO(src)
-    start = (survey or _survey(src, field))[1]
-    if start is None:
+    declares; None for any other file. src is the seekable binary file.
+    cls._check_size is called with the table's shape before the array is
+    made and may refuse it. The table's text is src[start:end], from the
+    "[" after the field's first key to the "\n ]" that closes it."""
+    key = b'\n "%s": [' % field.encode()
+    size = src.seek(0, io.SEEK_END)
+    start = _find(src, key, 0, size)
+    if start < 0:
         return None
+    start += len(key) - 1
     # a nested list closes on "]\n ]"; taken from the end of the file, as
     # the fields after the table are small, and checked by _writes_as
-    end = _rfind(src, b"]\n ]", start, src.seek(0, io.SEEK_END)) + 4
+    end = _rfind(src, b"]\n ]", start, size) + 4
     shape = _canonical_shape(src, start, end) if end > start else None
     value = _rest(src, field, start, end) if shape else None
     if value is None:
@@ -307,9 +297,7 @@ def _canonical_shape(src, start, end):
     is its count of lines, any other's the "[" inside it over those
     inside each child. None where the counts fit no shape of at most
     (end - start) / 2 entries and _MAX_NDIM axes; _writes_as checks the
-    one returned. src is bytes or a seekable binary file."""
-    if isinstance(src, bytes):
-        src = io.BytesIO(src)
+    one returned. src is a seekable binary file."""
     firsts = [start]  # where the first list at each depth opens
     while True:
         line = b"\n" + b" " * (_LEVEL + len(firsts)) + b"["

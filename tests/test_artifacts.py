@@ -11,6 +11,7 @@ artifact and digest, or the same error.
 import collections
 import contextlib
 import copy
+import io
 import json
 import math
 import os
@@ -161,7 +162,7 @@ def test_fast_and_json_paths_agree(tmp_path_factory, case):
     path = tmp_path_factory.getbasetemp() / "agree.json"
     path.write_bytes(data)
     if canonical:
-        assert _artifacts._canonical_value(data, cls.TABLE_FIELD) is not None
+        assert _artifacts._canonical_value(io.BytesIO(data), cls.TABLE_FIELD) is not None
     fast, slow = _read(cls, path, True), _read(cls, path, False)
     assert _same(fast, slow), (data, fast, slow)
     if isinstance(fast[0], _artifacts.Table):
@@ -184,7 +185,7 @@ def test_every_block_size_reads_as_json_does(tmp_path_factory, case, block):
     with mock.patch.object(_artifacts, "_READ_BYTES", block), \
          mock.patch.object(_artifacts, "_SURVEY_BYTES", block):
         if canonical:
-            assert _artifacts._canonical_value(data, cls.TABLE_FIELD) is not None
+            assert _artifacts._canonical_value(io.BytesIO(data), cls.TABLE_FIELD) is not None
         fast = _read(cls, path, True)
     assert _same(fast, slow), (block, data, fast, slow)
 
@@ -267,9 +268,10 @@ def test_cold_import_holds_the_file_and_about_one_array(tmp_path):
 
 
 def test_cold_import_holds_about_one_array(tmp_path):
-    """The file is read in blocks, never whole: the peak is the array (int16,
-    as r = 256), the first pass's block and a few small blocks, whatever
-    the file's size."""
+    """The file is read in blocks, never whole: the peak is the larger of
+    the array (int16, as r = 256) and the first pass's buffer, which is
+    freed before the array is made, plus a few small blocks, whatever the
+    file's size."""
     A, B = _million()
     path = tmp_path / "s.json"
     export_drcs(build_drcs(A, B), path)
@@ -278,7 +280,27 @@ def test_cold_import_holds_about_one_array(tmp_path):
     assert S.flocks.shape == (16, 256, 255)
     assert os.path.getsize(path) > S.flocks.nbytes
     assert S.flocks.dtype == np.int16
-    assert peak <= S.flocks.nbytes + _artifacts._SURVEY_BYTES + (1 << 20)
+    assert peak <= max(S.flocks.nbytes, _artifacts._SURVEY_BYTES) + (1 << 20)
+
+
+def _searches(*args, **kwargs):
+    raise AssertionError("the file was searched")
+
+
+def test_a_cache_hit_holds_one_buffer_and_searches_nothing(tmp_path):
+    """A second read of a file over 4 MiB only hashes it, through one
+    buffer of _SURVEY_BYTES; the table's key and end are not looked for."""
+    A, B = _million()
+    path = tmp_path / "s.json"
+    export_drcs(build_drcs(A, B), path)
+    assert os.path.getsize(path) > 2 * _artifacts._SURVEY_BYTES
+    with mock.patch.object(_artifacts, "_cache", collections.OrderedDict()):
+        S = import_drcs(path)
+        with mock.patch.object(_artifacts, "_find", _searches), \
+             mock.patch.object(_artifacts, "_rfind", _searches):
+            T, peak = _peak(lambda: import_drcs(path))
+    assert T == S
+    assert peak <= _artifacts._SURVEY_BYTES + (1 << 16)
 
 
 def test_a_wide_value_range_is_written_and_read_a_block_at_a_time(tmp_path):
@@ -322,8 +344,8 @@ def test_a_shape_larger_than_its_text_is_not_allocated():
             + ",\n  []" * 1000 + "\n ]\n}\n")
     raw = text.encode()
     start, end = raw.index(b"["), raw.rfind(b"]\n ]") + 4
-    assert _artifacts._canonical_shape(raw, start, end) is None
-    assert _artifacts._canonical_value(raw, "rows") is None
+    assert _artifacts._canonical_shape(io.BytesIO(raw), start, end) is None
+    assert _artifacts._canonical_value(io.BytesIO(raw), "rows") is None
 
 
 # -- a set's dtype: the narrowest signed one that holds r - 1 --
@@ -353,7 +375,7 @@ def test_a_set_keeps_its_dtype_and_bytes_through_both_paths(tmp_path_factory, S)
     again = tmp_path_factory.getbasetemp() / "boundary_again.json"
     export_drcs(S, path)
     data = path.read_bytes()
-    assert _artifacts._canonical_value(data, "flocks", cls=DrcsSet) is not None
+    assert _artifacts._canonical_value(io.BytesIO(data), "flocks", cls=DrcsSet) is not None
     for fast in (True, False):
         T, _ = _read(DrcsSet, path, fast)
         assert T.flocks.dtype == DTYPE_OF_R[S.r] and T == S
@@ -394,8 +416,8 @@ def test_an_entry_out_of_range_is_refused_on_both_paths(tmp_path, capsys, entry)
     data = path.read_bytes()
     # canonical as an int64 table; stored as int16, an entry that wraps
     # leaves text of its own, so no set is made from the wrapped array
-    assert _artifacts._canonical_value(data, "flocks") is not None
-    narrow = _artifacts._canonical_value(data, "flocks", cls=DrcsSet)
+    assert _artifacts._canonical_value(io.BytesIO(data), "flocks") is not None
+    narrow = _artifacts._canonical_value(io.BytesIO(data), "flocks", cls=DrcsSet)
     assert (narrow is None) == (entry in WRAPS)
     payload = {"error": "SchemaError", "message": "entries must lie in [0, 300)"}
     for fast in (True, False):

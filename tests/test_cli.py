@@ -200,11 +200,12 @@ def test_rect_verify_c2_witness(tmp_path, capsys):
 
 def test_rect_verify_c1_witness(tmp_path, capsys):
     bad = tmp_path / "c1.json"
-    bad.write_text(json.dumps({"N": 3, "n": 3, "rows": [[0, 0, 1]]}))
+    # row 1 repeats 3 at column 2 before it repeats 2 at column 3
+    bad.write_text(json.dumps({"N": 4, "n": 4, "rows": [[0, 1, 2, 3], [2, 3, 3, 2]]}))
     code, out, _ = run(capsys, "rect", "verify", str(bad))
     assert code == 2
     obj = json.loads(out)
-    assert not obj["c1"] and obj["c1_witness"] is not None
+    assert not obj["c1"] and obj["c1_witness"] == {"row": 1, "symbol": 3}
 
 
 def test_rect_verify_good(tmp_path, capsys):
