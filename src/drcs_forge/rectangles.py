@@ -100,21 +100,15 @@ def verify_c1(R):
 
 
 def c1_witness(R):
-    """None, or (row index, repeated symbol) for the first C1 violation:
-    the first row that repeats a symbol, and the symbol at the first
-    column whose symbol occurs earlier in that row."""
-    s = np.sort(R.rows, axis=1)
-    rows = np.flatnonzero((s[:, 1:] == s[:, :-1]).any(axis=1))
-    if not rows.size:
-        return None
-    i = int(rows[0])
-    # a stable sort keeps equal symbols in column order, so an entry equal
-    # to the one before it in sorted order is at such a column
-    row = R.rows[i]
-    order = np.argsort(row, kind="stable")
-    ranked = row[order]
-    j = int(order[1:][ranked[1:] == ranked[:-1]].min())
-    return (i, int(row[j]))
+    """None, or (row index, repeated symbol) for the first C1 violation."""
+    for i in range(R.nrows):
+        row = R.rows[i]
+        seen = set()
+        for v in row.tolist():
+            if v in seen:
+                return (i, v)
+            seen.add(v)
+    return None
 
 
 def _positions(R):

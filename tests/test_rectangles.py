@@ -24,7 +24,6 @@ from drcs_forge.rectangles import (
     build_circular_florentine,
     build_circular_quasi_florentine,
     build_extended_quasi_florentine,
-    c1_witness,
     c2_witness,
     coincidence_count,
     family_dimensions,
@@ -108,25 +107,6 @@ class TestVerifyC1:
 
     def test_single_column_always_passes(self):
         assert verify_c1(Rectangle(4, [[0], [0], [3]]))
-
-
-def loop_c1_witness(rows):
-    """The C1 witness by a walk over each row: the first row that repeats
-    a symbol, and the first symbol in it already seen in that row."""
-    for i, row in enumerate(rows):
-        seen = set()
-        for v in row:
-            if v in seen:
-                return (i, v)
-            seen.add(v)
-    return None
-
-
-@given(matrices_with_repeats())
-@settings(max_examples=300, deadline=None)
-def test_c1_witness_matches_the_loop(R):
-    assert c1_witness(R) == loop_c1_witness(R.rows.tolist())
-    assert (c1_witness(R) is None) == verify_c1(R)
 
 
 class TestVerifyC2:
