@@ -8,7 +8,6 @@ from .rectangles import (
     build_circular_florentine,
     build_circular_quasi_florentine,
     build_extended_quasi_florentine,
-    coincidence_count,
     family_dimensions,
     product_construct,
     product_family,
@@ -41,7 +40,6 @@ __all__ = [
     "build_circular_quasi_florentine",
     "build_drcs",
     "build_extended_quasi_florentine",
-    "coincidence_count",
     "dft_matrix",
     "export_drcs",
     "family_dimensions",

@@ -77,15 +77,13 @@ def cmd_rect(args):
         if not out["c1"]:
             i, v = c1_witness(R)
             out["c1_witness"] = {"row": i, "symbol": v}
-            _emit(out, args.out)
-            return 2
-        wit = c2_witness(R, circular=args.circular)
-        out["c2"] = wit is None
-        if wit is not None:
-            out["c2_witness"] = wit
-            _emit(out, args.out)
-            return 2
+        else:
+            wit = c2_witness(R, circular=args.circular)
+            out["c2"] = wit is None
+            if wit is not None:
+                out["c2_witness"] = wit
         _emit(out, args.out)
+        return 0 if out.get("c2") else 2
     elif args.rect_cmd == "search":
         R, cert = search_max_rows(args.N, args.n, circular=args.circular,
                                   row_cap=args.row_cap)

@@ -39,10 +39,6 @@ class PreconditionError(DrcsForgeError):
     pass
 
 
-class SameRowError(DrcsForgeError):
-    pass
-
-
 class OrderMismatchError(DrcsForgeError):
     pass
 

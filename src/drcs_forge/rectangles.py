@@ -28,7 +28,6 @@ from .errors import (
     InvariantError,
     ParamsOutOfRangeError,
     PreconditionError,
-    SameRowError,
     SchemaError,
     TooManyColumnsRemovedError,
     json_int,
@@ -93,8 +92,6 @@ def load_fixture(name):
 
 def verify_c1(R):
     """True iff every row consists of pairwise-distinct symbols."""
-    if R.ncols == 1:
-        return True
     s = np.sort(R.rows, axis=1)
     return not bool(np.any(s[:, 1:] == s[:, :-1]))
 
@@ -216,21 +213,6 @@ def c2_witness(R, circular=False):
         dist %= n
     rows = np.flatnonzero((pa >= 0) & (pb >= 0) & (dist == m))
     return {"pair": [a, b], "step": m, "rows": rows[:2].tolist()}
-
-
-def coincidence_count(R, i, p, tau):
-    """Number of positions j with rows[i][j] == rows[p][j + tau].
-
-    Any rectangle passing linear C2 keeps this at 0 or 1 for distinct
-    rows, including tau = 0: two hits would exhibit the same ordered
-    pair at the same step in both rows.
-    """
-    if i == p:
-        raise SameRowError("rows must be distinct, both are %d" % i)
-    n = R.ncols
-    if not 0 <= tau < n:
-        raise ParamsOutOfRangeError("tau must satisfy 0 <= tau < %d, got %d" % (n, tau))
-    return int(np.sum(R.rows[i, : n - tau] == R.rows[p, tau:]))
 
 
 # --- builders ---
@@ -463,7 +445,7 @@ def search_max_rows(N, n, circular=False, row_cap=None):
     N, n = int(N), int(n)
     require(N, SEARCH_CAP, "exhaustive search at N = %d" % N)
     if not 1 <= n <= N:
-        raise ParamsOutOfRangeError("need 1 <= n <= N, got n = %d" % n)
+        raise ParamsOutOfRangeError("need 1 <= n <= N, got N = %d, n = %d" % (N, n))
     candidates = math.perm(N, n)
     require(candidates, SEARCH_ROWS_CAP, "search of %d candidate rows" % candidates)
     if row_cap is not None and row_cap < 1:

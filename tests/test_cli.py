@@ -232,6 +232,14 @@ def test_rect_search_refuses_row_cap_below_one(capsys, cap):
     assert json.loads(err)["error"] == "ParamsOutOfRangeError"
 
 
+def test_rect_search_names_both_sizes(capsys):
+    # n = 1 is in range; the N = -2 below it is what is refused
+    code, out, err = run(capsys, "rect", "search", "-2", "1")
+    assert code == 3 and out == ""
+    assert json.loads(err) == {"error": "ParamsOutOfRangeError",
+                               "message": "need 1 <= n <= N, got N = -2, n = 1"}
+
+
 @pytest.mark.parametrize("N", ["9", "10", "11"])
 def test_rect_search_refuses_too_many_candidate_rows(capsys, N):
     t0 = time.perf_counter()

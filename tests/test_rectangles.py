@@ -13,7 +13,6 @@ from drcs_forge.errors import (
     ParamsOutOfRangeError,
     ParseError,
     PreconditionError,
-    SameRowError,
     SchemaError,
     TooManyColumnsRemovedError,
 )
@@ -25,7 +24,6 @@ from drcs_forge.rectangles import (
     build_circular_quasi_florentine,
     build_extended_quasi_florentine,
     c2_witness,
-    coincidence_count,
     family_dimensions,
     load_fixture,
     product_construct,
@@ -96,6 +94,35 @@ def literal_c2_witness(rows, N, circular):
                 if len(hits) > 1:
                     return {"pair": [a, b], "step": m, "rows": hits[:2]}
     return None
+
+
+@st.composite
+def small_c1_rectangles(draw):
+    """Random C1 rectangles with N <= 7, n <= 5 and K <= 5."""
+    N = draw(st.integers(1, 7))
+    ncols = draw(st.integers(1, min(N, 5)))
+    rows = [draw(st.permutations(range(N)))[:ncols] for _ in range(draw(st.integers(1, 5)))]
+    return Rectangle(N, rows)
+
+
+def literal_coincidence_c2(rows, circular):
+    """C2 by coincidences: no two distinct rows agree at two columns
+    under one shift, taken cyclically when circular."""
+    n = len(rows[0])
+    for x, y in itertools.permutations(rows, 2):
+        for tau in range(n):
+            cols = range(n) if circular else range(n - tau)
+            if sum(x[j] == y[(j + tau) % n] for j in cols) > 1:
+                return False
+    return True
+
+
+def c2_both_ways(R):
+    """verify_c2 linear and circular, each checked against the literal
+    coincidence form."""
+    out = tuple(verify_c2(R, circular) for circular in (False, True))
+    assert out == tuple(literal_coincidence_c2(R.rows.tolist(), c) for c in (False, True))
+    return out
 
 
 class TestVerifyC1:
@@ -441,36 +468,30 @@ class TestTableCap:
 
 
 class TestCoincidence:
+    """verify_c2 against C2 in coincidence form: two distinct rows agree
+    at no more than one column under any one shift."""
+
+    @given(small_c1_rectangles(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_literal_coincidences(self, R, circular):
+        assert verify_c2(R, circular) == literal_coincidence_c2(R.rows.tolist(), circular)
+
     def test_shifted_rows(self):
-        # these two rows collide at (0,1) step 1, so the at-most-one
-        # guarantee does not apply; enumeration gives j=0 and j=1
-        R = Rectangle(3, [[0, 1, 2], [2, 0, 1]])
-        assert coincidence_count(R, 0, 1, 1) == 2
+        # row 1 is row 0 moved one column right: they agree at two
+        # columns under shift 1
+        assert c2_both_ways(Rectangle(3, [[0, 1, 2], [2, 0, 1]])) == (False, False)
 
     def test_exactly_one_match(self):
-        R = Rectangle(3, [[0, 1, 2], [1, 2, 0]])
-        assert coincidence_count(R, 0, 1, 2) == 1
+        # under shift 2 the rows agree at one column, but under shift
+        # -1 (row 1 read one column left) at two
+        assert c2_both_ways(Rectangle(3, [[0, 1, 2], [1, 2, 0]])) == (False, False)
 
     def test_disjoint_rows(self):
-        R = Rectangle(6, [[0, 1, 2], [3, 4, 5]])
-        for tau in range(3):
-            assert coincidence_count(R, 0, 1, tau) == 0
+        assert c2_both_ways(Rectangle(6, [[0, 1, 2], [3, 4, 5]])) == (True, True)
 
     def test_fixture_all_pairs(self, rect_a8):
-        for i in range(rect_a8.nrows):
-            for p in range(rect_a8.nrows):
-                if i == p:
-                    continue
-                for tau in range(rect_a8.ncols):
-                    assert coincidence_count(rect_a8, i, p, tau) <= 1
-
-    def test_same_row_rejected(self, rect_a8):
-        with pytest.raises(SameRowError):
-            coincidence_count(rect_a8, 2, 2, 0)
-
-    def test_tau_range(self, rect_a8):
-        with pytest.raises(ParamsOutOfRangeError):
-            coincidence_count(rect_a8, 0, 1, rect_a8.ncols)
+        # the fixture is linear-only
+        assert c2_both_ways(rect_a8) == (True, False)
 
 
 class TestSearch:

@@ -1,6 +1,7 @@
 """tools/step_rss.py: a line of time and memory per step of one pass."""
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -9,7 +10,8 @@ from drcs_forge.drcs import build_drcs, export_drcs
 from drcs_forge.hadamard import dft_matrix
 from drcs_forge.rectangles import build_circular_quasi_florentine
 
-TOOL = pathlib.Path(__file__).resolve().parent.parent / "tools" / "step_rss.py"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "step_rss.py"
 
 
 def test_eval_many_pass():
@@ -23,6 +25,19 @@ def test_eval_many_pass():
     hwm = [line["VmHWM_kb"] for line in lines]
     assert hwm == sorted(hwm)
     assert all(0 < line["VmRSS_kb"] <= line["VmHWM_kb"] for line in lines)
+
+
+def test_a_failing_step_fails_the_pass(tmp_path):
+    steps = tmp_path / "steps.json"
+    steps.write_text(json.dumps([["drcs", "eval", "missing.json"], ["bh", "dft", "0"],
+                                 ["bh", "dft", "2"]]))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "perfbench"), str(ROOT / "src")]))
+    proc = subprocess.run([sys.executable, str(TOOL), "--child", str(steps)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=60)
+    # every step still runs and prints its line
+    lines = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [line["rc"] for line in lines] == [None, 4, 3, 0]
+    assert proc.returncode == 1
 
 
 def test_read_a_set(tmp_path):

@@ -14,7 +14,8 @@ drcs_forge.cli.main as perfbench/passrun.py runs them. That process
 prints one JSON line per step: argv, exit code (rc), seconds (s), and
 VmHWM and VmRSS in kB from /proc/self/status. The first line, with argv
 [], is the state once drcs_forge.cli is imported. The steps' own
-stdout is discarded.
+stdout is discarded. Every step runs; the tool then exits 1 if any
+step's exit code was not 0.
 
 With --read, the tool instead reads the set file PATH once with
 drcs_forge.drcs.import_drcs, cold, in its own fresh process, and prints
@@ -55,7 +56,8 @@ def memory():
 
 
 def child(steps_path):
-    """Run the steps in steps_path, printing a line after each."""
+    """Run the steps in steps_path, printing a line after each; 1 if any
+    step failed, else 0."""
     with open(steps_path) as fh:
         steps = json.load(fh)
     from passrun import run_step
@@ -63,6 +65,7 @@ def child(steps_path):
     from drcs_forge import cli
 
     print(json.dumps({"argv": [], "rc": None, "s": 0.0, **memory()}), flush=True)
+    failed = False
     with open(os.devnull, "w") as devnull:
         for argv in steps:
             t0 = time.perf_counter()
@@ -70,7 +73,8 @@ def child(steps_path):
                 rc = run_step(cli.main, argv)
             line = {"argv": argv, "rc": rc, "s": round(time.perf_counter() - t0, 6), **memory()}
             print(json.dumps(line), flush=True)
-    return 0
+            failed = failed or rc != 0
+    return 1 if failed else 0
 
 
 def read(path):
