@@ -6,32 +6,34 @@ Reading. Table.read builds the artifact a file holds. Every artifact
 file goes through it, the packaged fixtures included. It reads the file
 in blocks. The first pass only hashes every byte, through one reused
 buffer, for the cache key and the provenance digest; a cache hit ends
-there. On a miss, a file in the writer's own layout (canonical: UTF-8
-with no BOM, the table at "\n \"<field>\": [") takes a fast path that
-finds the table's key and seeks to the table. Its shape is counted off
-the text. The rest of the document, the table replaced by a
-placeholder, is parsed by json. The table's text is parsed a block at a
-time straight into one array, in the dtype its class stores for the
-modulus the document declares (a set's narrowest signed dtype that
-holds r - 1, int64 otherwise). It is kept only if the writer's text for
-it, at that indent, is the table's text byte for byte, compared a piece
-at a time. That rules out leading zeros, -0, more digits than int64
-holds, an entry the dtype cannot hold, a float or boolean, and nesting
-that is not the array's shape. Beside the array, the fast path holds a
-few blocks, never the file. Any other file, or one that fails that
-check, is read as before: its bytes decoded the way json.loads decodes
-bytes (UTF-8, UTF-16 or UTF-32, told apart by a BOM or the zero-byte
-pattern) and parsed by json. A pipe, which cannot be read twice, is
-read into memory first and then the same way. Both paths give the same
-artifact, or the same error: a file that cannot be read, decoded or
-parsed raises the class's exit-4 error, and a table over the class's
-size cap (Table._check_size) exit 3, on the fast path before its array
-is made. Built artifacts are kept in a small LRU cache keyed by (class,
-path, sha256 of the bytes), so a process that loads the same file
-twice, such as a pipeline whose steps pass tables along, parses it
-once; a changed file has another digest and is parsed again. Loads that
-fail are never cached, and every hit returns a fresh copy. read_json
-gives an uncached file's JSON value, for pipeline configs.
+there. On a miss, a file whose table sits at "\n \"<field>\": [", where
+the writer puts it, takes a fast path. The rest of the document, null
+where the table was, is parsed by json, and its header gives the
+table's shape (a rectangle's row count is the "[" inside its table).
+The table's text is parsed a block at a time straight into one array,
+in the dtype its class stores for the modulus the document declares (a
+set's narrowest signed dtype that holds r - 1, int64 otherwise). The
+result is kept only if the writer's text of it, and a newline, is the
+whole file byte for byte, compared a block at a time. That rules out a
+byte outside ASCII, another layout, duplicate keys, leading zeros, -0,
+more digits than int64 holds, an entry the dtype cannot hold, a float
+or boolean, and a shape the header does not declare. Beside the array,
+the fast path holds a few blocks, never the file. Any other file is
+decoded the way json.loads decodes bytes (UTF-8, UTF-16 or UTF-32, told
+apart by a BOM or the zero-byte pattern) and parsed by json. A pipe,
+which cannot be read twice, is read into memory first and then the same
+way. Both paths give the same artifact, or the same error: a file that
+cannot be read, decoded or parsed raises the class's exit-4 error, and
+a table over the class's size cap (Table._check_size) exit 3, on the
+fast path before its array is made. Only a header that declares more
+entries than the table holds, but no more than half its text's bytes,
+can meet the cap there and exit 3 where json exits 4. Built artifacts are
+kept in a small LRU cache keyed by (class, path, sha256 of the bytes),
+so a process that loads the same file twice, such as a pipeline whose
+steps pass tables along, parses it once; a changed file has another
+digest and is parsed again. Loads that fail are never cached, and every
+hit returns a fresh copy. read_json gives an uncached file's JSON
+value, for pipeline configs.
 
 Writing. json_text gives the bytes of json.dumps(..., sort_keys=True,
 indent=1) and also takes integer numpy arrays, written as the nested
@@ -66,8 +68,10 @@ class Table:
     integer table with entries in [0, modulus), in the class's
     _dtype(modulus), a provenance, the JSON form, reading a file, and
     equality. A subclass builds its table with _table, checks its shape,
-    names the table's JSON field in TABLE_FIELD, and defines _fields()
-    (its JSON fields, the table as the array itself) and from_json(obj).
+    names the table's JSON field in TABLE_FIELD and the header fields
+    that declare its shape in SHAPE_FIELDS (None for a row count the
+    header does not hold), and defines _fields() (its JSON fields, the
+    table as the array itself) and from_json(obj).
     A subclass whose dtype depends on the modulus overrides _dtype and
     names the header field that holds the modulus in MODULUS_FIELD.
     READ_ERROR is raised for a file that cannot be read, decoded or
@@ -76,6 +80,7 @@ class Table:
     READ_ERROR = ParseError
     FIELD_ERROR = ParseError
     TABLE_FIELD = None
+    SHAPE_FIELDS = None
     MODULUS_FIELD = None
 
     @staticmethod
@@ -126,7 +131,7 @@ class Table:
         (class, path, digest) while it stays in the cache. The result
         shares the cached read-only arrays and has a provenance of its
         own."""
-        error, field = cls.READ_ERROR, cls.TABLE_FIELD
+        error = cls.READ_ERROR
         try:
             with open(path, "rb") as fh:
                 # a pipe cannot be read twice: its bytes are read from memory
@@ -135,7 +140,7 @@ class Table:
                 key = (cls, str(path), digest)
                 entry = _cache.get(key)
                 if entry is None:
-                    value = _canonical_value(src, field, cls)
+                    value = _canonical_value(src, cls)
                     if value is None:
                         src.seek(0)
                         value = _loads(_decode(src.read(), path, error), path, error)
@@ -202,10 +207,6 @@ def read_json(path, error):
 
 # -- the fast path for canonical files --
 
-# indent of a table field in the writer's layout: a key of the top-level
-# object
-_LEVEL = 1
-
 # bytes of the first pass's one buffer: it hashes the file through
 # min(file size, this) bytes and holds nothing else, so a file of up to
 # 2 MiB is read in one call and a larger one never whole. Freeing this
@@ -220,18 +221,11 @@ _SURVEY_BYTES = 1 << 21
 # the array
 _READ_BYTES = 1 << 16
 
-# nesting depth of the tables the fast path reads, the least maximum
-# ndim of the numpy versions supported; a deeper one goes the json way
-_MAX_NDIM = 32
-
 # the longest text of an int64, "-9223372036854775808"
 _INT_CHARS = 20
 
 # brackets and commas read as spaces, leaving np.fromstring the numbers
 _SPACES = bytes.maketrans(b"[],", b"   ")
-
-# what the placeholder for the table parses to
-_SPAN = object()
 
 
 def _blocks(src, lo, hi, size):
@@ -257,13 +251,14 @@ def _digest(src):
     return sha.hexdigest()
 
 
-def _canonical_value(src, field, cls=Table):
-    """The JSON value of a canonical file, its table field already an
-    _Owned array in the dtype cls stores for the modulus the header
-    declares; None for any other file. src is the seekable binary file.
-    cls._check_size is called with the table's shape before the array is
-    made and may refuse it. The table's text is src[start:end], from the
-    "[" after the field's first key to the "\n ]" that closes it."""
+def _canonical_value(src, cls):
+    """The JSON value of a canonical file, its cls.TABLE_FIELD already an
+    _Owned array of the shape the header's cls.SHAPE_FIELDS declare, in
+    the dtype cls stores for its modulus; None for any other file, src
+    being the seekable binary file. cls._check_size may refuse the shape
+    before the array is made. The table's text is src[start:end], from
+    the "[" after the field's first key to the "\n ]" that closes it."""
+    field = cls.TABLE_FIELD
     key = b'\n "%s": [' % field.encode()
     size = src.seek(0, io.SEEK_END)
     start = _find(src, key, 0, size)
@@ -273,61 +268,27 @@ def _canonical_value(src, field, cls=Table):
     # a nested list closes on "]\n ]"; taken from the end of the file, as
     # the fields after the table are small, and checked by _writes_as
     end = _rfind(src, b"]\n ]", start, size) + 4
-    shape = _canonical_shape(src, start, end) if end > start else None
-    value = _rest(src, field, start, end) if shape else None
+    value = _rest(src, start, end) if end > start else None
     if value is None:
+        return None
+    # a field of None stands for the count of "[" inside the table
+    shape = tuple(value.get(k) if k else _count(src, b"[", start + 1, end)
+                  for k in cls.SHAPE_FIELDS)
+    # each entry takes at least a digit and a newline
+    if not all(type(d) is int and d > 0 for d in shape) or math.prod(shape) > (end - start) // 2:
         return None
     cls._check_size(shape)
     modulus = value.get(cls.MODULUS_FIELD)
     # a header from_json will refuse leaves the table int64
     valid = type(modulus) is int and modulus >= 1
     arr = _parse_ints(src, start, end, shape, cls._dtype(modulus) if valid else np.int64)
+    if arr is None:
+        return None
     # an entry the dtype cannot hold wraps when it is stored, so the
     # writer's text is not the file's: the file goes the json way, to the
     # error an out-of-range entry gets there
-    if arr is None or not _writes_as(arr, src, start, end):
-        return None
     value[field] = arr.view(_Owned)
-    return value
-
-
-def _canonical_shape(src, start, end):
-    """The shape of the array whose canonical text src[start:end] would
-    be, read off the first list at each depth: the innermost one's size
-    is its count of lines, any other's the "[" inside it over those
-    inside each child. None where the counts fit no shape of at most
-    (end - start) / 2 entries and _MAX_NDIM axes; _writes_as checks the
-    one returned. src is a seekable binary file."""
-    firsts = [start]  # where the first list at each depth opens
-    while True:
-        line = b"\n" + b" " * (_LEVEL + len(firsts)) + b"["
-        src.seek(firsts[-1] + 1)
-        if src.read(len(line)) != line:
-            break
-        if len(firsts) == _MAX_NDIM:
-            return None
-        firsts.append(firsts[-1] + len(line))
-    shape, inner = [], 0
-    for k in range(len(firsts) - 1, -1, -1):
-        # the line that closes the first list at depth k; the whole
-        # table's is the last line
-        closer = b"\n" + b" " * (_LEVEL + k) + b"]"
-        close = end - len(closer) if k == 0 else _find(src, closer, firsts[k], end)
-        if close < 0:
-            return None
-        if not shape:
-            size = _count(src, b"\n", firsts[k], close)
-        else:
-            brackets = _count(src, b"[", firsts[k] + 1, close)
-            size, rest = divmod(brackets, inner + 1)
-            if rest:
-                return None
-            inner = brackets
-        shape.insert(0, size)
-    # each entry takes at least a digit and a newline
-    if not 0 < math.prod(shape) <= (end - start) // 2:
-        return None
-    return tuple(shape)
+    return value if _writes_as(value, src) else None
 
 
 def _find(src, pattern, lo, hi):
@@ -361,32 +322,18 @@ def _count(src, byte, lo, hi):
     return sum(block.count(byte) for block in _blocks(src, lo, hi, _READ_BYTES))
 
 
-def _rest(src, field, start, end):
-    """The JSON value of the file with its table's text src[start:end]
-    replaced by a placeholder, which the field must hold; None if that
-    does not parse, or the field holds something else. It is decoded as
-    UTF-8, and json refuses a BOM or the zero bytes UTF-16 and UTF-32
-    put among the first four, so a file read this way is one json.loads
-    would decode as UTF-8 too."""
+def _rest(src, start, end):
+    """The JSON object of the file with its table's text src[start:end]
+    replaced by null; None if that is not an object in ASCII, the only
+    text the writer makes."""
     src.seek(0)
     head = src.read(start)
     src.seek(end)
-    # the placeholder NaN calls parse_constant; any other NaN or Infinity
-    # in the file would too, and the file goes the json way
-    constants = []
-
-    def constant(name):
-        constants.append(name)
-        return _SPAN
     try:
-        rest = (head + b"NaN" + src.read()).decode("utf-8", "surrogatepass")
-        value = json.JSONDecoder(parse_constant=constant).decode(rest)
+        value = _DECODER.decode((head + b"null" + src.read()).decode("ascii"))
     except (UnicodeDecodeError, json.JSONDecodeError):
         return None
-    # with duplicate keys json keeps the last; it must be this one
-    if len(constants) != 1 or not isinstance(value, dict) or value.get(field) is not _SPAN:
-        return None
-    return value
+    return value if isinstance(value, dict) else None
 
 
 def _parse_ints(src, start, end, shape, dtype):
@@ -426,23 +373,31 @@ class _Differs(Exception):
     pass
 
 
-def _writes_as(arr, src, start, end):
-    """Whether the writer's text of arr at indent _LEVEL is src[start:end];
-    compared a piece at a time, without making the whole text."""
-    src.seek(start)
-    left = end - start
+def _writes_as(value, src):
+    """Whether the writer's text of value, and a newline, is the whole of
+    src; compared a piece at a time, each piece a block at a time,
+    without making the whole text or a copy of a piece."""
+    size = src.seek(0, io.SEEK_END)
+    pos = 0
 
     def match(piece):
-        nonlocal left
-        piece = piece.encode("ascii")
-        if len(piece) > left or src.read(len(piece)) != piece:
+        nonlocal pos
+        i = 0
+        for block in _blocks(src, pos, pos + len(piece), _READ_BYTES):
+            # latin-1 gives each byte one character, so a byte outside
+            # ASCII differs from the writer's text
+            if not piece.startswith(block.decode("latin-1"), i):
+                raise _Differs
+            i += len(block)
+        if i < len(piece):  # the file ended first
             raise _Differs
-        left -= len(piece)
+        pos += i
     try:
-        _int_array(arr, _LEVEL, match)
+        _encode(value, 0, match)
+        match("\n")
     except _Differs:
         return False
-    return left == 0
+    return pos == size
 
 
 def _remember(key, artifact):

@@ -67,6 +67,7 @@ class DrcsSet(Table):
 
     READ_ERROR = FIELD_ERROR = SchemaError
     TABLE_FIELD = "flocks"
+    SHAPE_FIELDS = ("K", "M", "L")
     MODULUS_FIELD = "r"
 
     @staticmethod

@@ -32,6 +32,7 @@ class PhaseMatrix(Table):
     """Square exponent table over Z_r with provenance."""
 
     TABLE_FIELD = "exps"
+    SHAPE_FIELDS = ("N", "N")
 
     def __init__(self, N, r, exps, provenance=None):
         self.N, self.r = int(N), int(r)

@@ -42,6 +42,7 @@ class Rectangle(Table):
 
     FIELD_ERROR = SchemaError
     TABLE_FIELD = "rows"
+    SHAPE_FIELDS = (None, "n")
 
     def __init__(self, N, rows, provenance=None):
         self.N = int(N)

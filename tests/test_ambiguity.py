@@ -19,7 +19,7 @@ from drcs_forge.ambiguity import (
     write_magnitude_csv,
     write_pgm,
 )
-from drcs_forge.drcs import Zone, build_drcs
+from drcs_forge.drcs import DrcsSet, Zone, build_drcs
 from drcs_forge.errors import LengthMismatchError, ParamsOutOfRangeError, ShapeMismatchError
 from drcs_forge.hadamard import dft_matrix, walsh_hadamard
 from drcs_forge.oracles import naive_af, naive_correlation, naive_flock_af
@@ -305,6 +305,23 @@ class TestThetaMax:
             assert wn.pop("abs") == pytest.approx(wf.pop("abs"), abs=1e-9)
             assert wn == wf
         assert rep_f.witness_c["pair"] == [0, 1]
+
+    @pytest.mark.parametrize("method", ["fft", "naive"])
+    def test_a_near_tie_is_not_a_tie(self, method):
+        """The lex-earlier auto cell (pair 0, tau -1, nu 0) lies 7.3e-4 below
+        the peak: a tie tolerance as loose as 1e-3 would name it, while
+        64*M*L*eps names the peak's cell, as the definition's scan does."""
+        S = DrcsSet(np.array([[[22, 198, 261]], [[194, 468, 188]]]), 1000)
+        witness = theta_max(S, method=method).witness_a
+        assert witness.pop("abs") == pytest.approx(1.87602, abs=1e-5)
+        assert witness == {"pair": [1, 1], "tau": -1, "nu": -1}
+        cells = [(abs(naive_flock_af(S.flock(k), S.flock(k), S.r, tau, nu)), k, tau, nu)
+                 for k in range(S.K) for tau, nu in S.zone.lattice() if (tau, nu) != (0, 0)]
+        peak = max(c[0] for c in cells)
+        tol = 64 * S.M * S.L * np.finfo(float).eps
+        assert next(c for c in cells if c[0] >= peak - tol)[1:] == (1, -1, -1)
+        near = next(c for c in cells if c[1:] == (0, -1, 0))
+        assert peak - near[0] == pytest.approx(7.3e-4, abs=1e-5)
 
     def test_report_json(self, toy_set):
         rep = theta_max(toy_set)

@@ -1,11 +1,13 @@
 """The fast reader of canonical artifact files, and what reading, building
 and writing a set cost in memory.
 
-A canonical file (the writer's layout) is read in blocks and has its
-table parsed straight into an array of its class's dtype (int64, or a
-set's narrowest that holds r - 1); any other file is read through json.
-The two paths must agree on every file, at every block size: the same
-artifact and digest, or the same error.
+A canonical file is read in blocks: its header, null where the table
+was, is parsed by json and gives the table's shape, and the table is
+parsed straight into an array of its class's dtype (int64, or a set's
+narrowest that holds r - 1). It is canonical when the writer's text of
+what was read, and a newline, is the whole file; any other file is read
+through json. The two paths must agree on every file, at every block
+size: the same artifact and digest, or the same error.
 """
 
 import collections
@@ -28,7 +30,14 @@ from drcs_forge.cli import main
 from drcs_forge.drcs import DrcsSet, Zone, build_drcs, export_drcs, import_drcs
 from drcs_forge.errors import DrcsForgeError, ParamsOutOfRangeError, SchemaError
 from drcs_forge.hadamard import PhaseMatrix, dft_matrix
-from drcs_forge.rectangles import Rectangle, build_circular_quasi_florentine
+from drcs_forge.rectangles import (
+    Rectangle,
+    build_circular_quasi_florentine,
+    build_extended_quasi_florentine,
+    product_construct,
+)
+
+DESK_PIPELINE = os.path.join(os.path.dirname(__file__), "data", "pipeline_desk.json")
 
 # -- the fast path agrees with json --
 
@@ -162,7 +171,7 @@ def test_fast_and_json_paths_agree(tmp_path_factory, case):
     path = tmp_path_factory.getbasetemp() / "agree.json"
     path.write_bytes(data)
     if canonical:
-        assert _artifacts._canonical_value(io.BytesIO(data), cls.TABLE_FIELD) is not None
+        assert _artifacts._canonical_value(io.BytesIO(data), cls) is not None
     fast, slow = _read(cls, path, True), _read(cls, path, False)
     assert _same(fast, slow), (data, fast, slow)
     if isinstance(fast[0], _artifacts.Table):
@@ -185,7 +194,7 @@ def test_every_block_size_reads_as_json_does(tmp_path_factory, case, block):
     with mock.patch.object(_artifacts, "_READ_BYTES", block), \
          mock.patch.object(_artifacts, "_SURVEY_BYTES", block):
         if canonical:
-            assert _artifacts._canonical_value(io.BytesIO(data), cls.TABLE_FIELD) is not None
+            assert _artifacts._canonical_value(io.BytesIO(data), cls) is not None
         fast = _read(cls, path, True)
     assert _same(fast, slow), (block, data, fast, slow)
 
@@ -200,6 +209,22 @@ def test_nesting_deeper_than_numpy_allows_goes_the_json_way(tmp_path):
     path.write_text(json.dumps({"N": 2, "n": 1, "rows": table}, indent=1) + "\n")
     fast, slow = _read(Rectangle, path, True), _read(Rectangle, path, False)
     assert fast == slow and fast[2] == 4
+
+
+def test_every_artifact_the_cli_writes_takes_the_fast_path(tmp_path, monkeypatch, capsys):
+    """The desk pipeline's rectangle, Butson table and set, and eval-long's
+    N = 160 set: a writer change to any header byte would send them all
+    the json way, which no output shows, only the memory a read takes."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["pipeline", DESK_PIPELINE]) == 0
+    capsys.readouterr()
+    rect = product_construct(build_circular_quasi_florentine(2, 4),
+                             build_extended_quasi_florentine(3, 2))
+    export_drcs(build_drcs(rect, dft_matrix(160)), tmp_path / "set160.json")
+    for name, cls in [("rect.json", Rectangle), ("bh.json", PhaseMatrix),
+                      ("set.json", DrcsSet), ("set160.json", DrcsSet)]:
+        with open(tmp_path / name, "rb") as fh:
+            assert _artifacts._canonical_value(fh, cls) is not None, name
 
 
 # -- the size cap on set files --
@@ -338,14 +363,13 @@ def test_a_callers_wide_array_costs_one_narrow_copy():
 
 
 def test_a_shape_larger_than_its_text_is_not_allocated():
-    """A long first row and many empty ones count as a 1001 x 1000 table,
-    but the text can hold at most one value per two bytes."""
-    text = ('{\n "rows": [\n  [\n' + ",\n".join(["   0"] * 1000) + "\n  ]"
-            + ",\n  []" * 1000 + "\n ]\n}\n")
-    raw = text.encode()
-    start, end = raw.index(b"["), raw.rfind(b"]\n ]") + 4
-    assert _artifacts._canonical_shape(io.BytesIO(raw), start, end) is None
-    assert _artifacts._canonical_value(io.BytesIO(raw), "rows") is None
+    """A long first row and many empty ones make a 1001 x 1000 table with
+    the header's n, but the text can hold at most one value per two
+    bytes."""
+    text = ('{\n "N": 2,\n "n": 1000,\n "rows": [\n  [\n' + ",\n".join(["   0"] * 1000)
+            + "\n  ]" + ",\n  []" * 1000 + "\n ]\n}\n")
+    with mock.patch.object(_artifacts, "_parse_ints", _refuses):
+        assert _artifacts._canonical_value(io.BytesIO(text.encode()), Rectangle) is None
 
 
 # -- a set's dtype: the narrowest signed one that holds r - 1 --
@@ -375,7 +399,7 @@ def test_a_set_keeps_its_dtype_and_bytes_through_both_paths(tmp_path_factory, S)
     again = tmp_path_factory.getbasetemp() / "boundary_again.json"
     export_drcs(S, path)
     data = path.read_bytes()
-    assert _artifacts._canonical_value(io.BytesIO(data), "flocks", cls=DrcsSet) is not None
+    assert _artifacts._canonical_value(io.BytesIO(data), DrcsSet) is not None
     for fast in (True, False):
         T, _ = _read(DrcsSet, path, fast)
         assert T.flocks.dtype == DTYPE_OF_R[S.r] and T == S
@@ -406,6 +430,12 @@ def test_theta_max_of_a_narrow_set_is_that_of_its_int64_copy(S, method):
 WRAPS = [2 ** 15, 2 ** 16 + 5, 70000, 2 ** 63 - 1]
 
 
+class _WideSet(DrcsSet):
+    """A set read into int64 whatever its r."""
+
+    _dtype = staticmethod(_artifacts.Table._dtype)
+
+
 @pytest.mark.parametrize("entry", [300, -1] + WRAPS)
 def test_an_entry_out_of_range_is_refused_on_both_paths(tmp_path, capsys, entry):
     flocks = np.array([[[0, 1, 299], [entry, 2, 3]]])
@@ -416,8 +446,8 @@ def test_an_entry_out_of_range_is_refused_on_both_paths(tmp_path, capsys, entry)
     data = path.read_bytes()
     # canonical as an int64 table; stored as int16, an entry that wraps
     # leaves text of its own, so no set is made from the wrapped array
-    assert _artifacts._canonical_value(io.BytesIO(data), "flocks") is not None
-    narrow = _artifacts._canonical_value(io.BytesIO(data), "flocks", cls=DrcsSet)
+    assert _artifacts._canonical_value(io.BytesIO(data), _WideSet) is not None
+    narrow = _artifacts._canonical_value(io.BytesIO(data), DrcsSet)
     assert (narrow is None) == (entry in WRAPS)
     payload = {"error": "SchemaError", "message": "entries must lie in [0, 300)"}
     for fast in (True, False):

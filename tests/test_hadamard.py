@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import tracemalloc
 
@@ -198,6 +199,21 @@ class TestVerify:
     def test_gram_path_covers_small_primes_up_to_the_cap(self):
         for r in (2, 3, 5):
             assert _gram_error_bound(ORDER_CAP) < _norm_floor(ORDER_CAP, r) / 4
+
+    @pytest.mark.parametrize("r, top", [(2, 12), (3, 12), (5, 12), (7, 8)])
+    def test_norm_floor_is_below_every_nonzero_sum_of_roots(self, r, top):
+        """The least nonzero |x| over every multiset of N r-th roots is at
+        least _norm_floor(N, r); at r = 5 and 7 it lies below N^(-(r - 3) / 4)
+        for several N, so a floor with half the exponent fails here."""
+        roots = np.exp(2j * np.pi * np.arange(r) / r)
+        for N in range(1, top + 1):
+            exps = np.array(list(itertools.combinations_with_replacement(range(r), N)))
+            counts = np.stack([(exps == d).sum(axis=1) for d in range(r)], axis=1)
+            # for prime r the sum vanishes iff every root is taken equally often
+            nonzero = counts.min(axis=1) < counts.max(axis=1)
+            least = np.abs(roots[exps[nonzero]].sum(axis=1)).min()
+            # r = 2 and 3 meet the floor, up to the roots' rounding
+            assert least >= _norm_floor(N, r) * (1 - 1e-9), (r, N, least)
 
     def test_counting_path(self):
         B = dft_matrix(211)
