@@ -8,32 +8,34 @@ in blocks. The first pass only hashes every byte, through one reused
 buffer, for the cache key and the provenance digest; a cache hit ends
 there. On a miss, a file whose table sits at "\n \"<field>\": [", where
 the writer puts it, takes a fast path. The rest of the document, null
-where the table was, is parsed by json, and its header gives the
+where the table was, goes through _parse, and its header gives the
 table's shape (a rectangle's row count is the "[" inside its table).
 The table's text is parsed a block at a time straight into one array,
 in the dtype its class stores for the modulus the document declares (a
 set's narrowest signed dtype that holds r - 1, int64 otherwise). The
 result is kept only if the writer's text of it, and a newline, is the
-whole file byte for byte, compared a block at a time. That rules out a
-byte outside ASCII, another layout, duplicate keys, leading zeros, -0,
-more digits than int64 holds, an entry the dtype cannot hold, a float
-or boolean, and a shape the header does not declare. Beside the array,
-the fast path holds a few blocks, never the file. Any other file is
-decoded the way json.loads decodes bytes (UTF-8, UTF-16 or UTF-32, told
-apart by a BOM or the zero-byte pattern) and parsed by json. A pipe,
-which cannot be read twice, is read into memory first and then the same
-way. Both paths give the same artifact, or the same error: a file that
-cannot be read, decoded or parsed raises the class's exit-4 error, and
-a table over the class's size cap (Table._check_size) exit 3, on the
-fast path before its array is made. Only a header that declares more
-entries than the table holds, but no more than half its text's bytes,
-can meet the cap there and exit 3 where json exits 4. Built artifacts are
-kept in a small LRU cache keyed by (class, path, sha256 of the bytes),
-so a process that loads the same file twice, such as a pipeline whose
-steps pass tables along, parses it once; a changed file has another
-digest and is parsed again. Loads that fail are never cached, and every
-hit returns a fresh copy. read_json gives an uncached file's JSON
-value, for pipeline configs.
+whole file byte for byte, compared a block at a time (_writes_as). That
+rules out a byte outside ASCII, another layout, duplicate keys, leading
+zeros, -0, more digits than int64 holds, an entry the dtype cannot hold,
+a float or boolean, and a shape the header does not declare. Beside the
+array, the fast path holds a few blocks, never the file. Any other file
+goes through _parse whole: decoded the way json.loads decodes bytes
+(UTF-8, UTF-16 or UTF-32, told apart by a BOM or the zero-byte pattern)
+and parsed by json. A pipe, which cannot be read twice, is read into
+memory first and then the same way. Both paths give the same artifact,
+or the same error: a file that cannot be read, decoded or parsed (an
+integer over Python's 4,300-digit limit and nesting past the recursion
+limit included) raises the class's exit-4 error, and a table over the
+class's size cap (Table._check_size) exit 3, on the fast path before its
+array is made. Only a header that declares more entries than the table
+holds, but no more than half its text's bytes, can meet the cap there
+and exit 3 where json exits 4. Built artifacts are kept in a small LRU
+cache keyed by (class, path, sha256 of the bytes), so a process that
+loads the same file twice, such as a pipeline whose steps pass tables
+along, parses it once; a changed file has another digest and is parsed
+again. Loads that fail are never cached, and every hit returns a fresh
+copy. read_json gives an uncached file's JSON value, for pipeline
+configs.
 
 Writing. json_text gives the bytes of json.dumps(..., sort_keys=True,
 indent=1) and also takes integer numpy arrays, written as the nested
@@ -143,7 +145,7 @@ class Table:
                     value = _canonical_value(src, cls)
                     if value is None:
                         src.seek(0)
-                        value = _loads(_decode(src.read(), path, error), path, error)
+                        value = _parse(src.read(), path, error)
         except OSError as exc:
             raise error("cannot read %s: %s" % (path, exc)) from None
         if entry is None:
@@ -176,33 +178,28 @@ CACHE_BYTES = 1 << 25
 _cache = collections.OrderedDict()
 
 
-def _read(path, error):
+def _parse(raw, path, error):
+    """The JSON value of a file's bytes, decoded as json.loads decodes
+    bytes; undecodable bytes and text json refuses (an integer over
+    Python's digit limit, nesting past the recursion limit) raise error."""
     try:
-        with open(path, "rb") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise error("cannot read %s: %s" % (path, exc)) from None
-
-
-def _decode(raw, path, error):
-    """The text of a file's bytes, decoded the way json.loads decodes bytes."""
-    try:
-        return raw.decode(json.detect_encoding(raw), "surrogatepass")
+        text = raw.decode(json.detect_encoding(raw), "surrogatepass")
     except UnicodeDecodeError as exc:
         raise error("cannot decode %s: %s" % (path, exc)) from None
-
-
-def _loads(text, path, error):
     try:
         return _DECODER.decode(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise error("malformed JSON in %s: %s" % (path, exc)) from None
 
 
 def read_json(path, error):
     """The JSON value a file holds, uncached. A file that cannot be read,
     decoded or parsed raises error."""
-    return _loads(_decode(_read(path, error), path, error), path, error)
+    try:
+        with open(path, "rb") as fh:
+            return _parse(fh.read(), path, error)
+    except OSError as exc:
+        raise error("cannot read %s: %s" % (path, exc)) from None
 
 
 # -- the fast path for canonical files --
@@ -322,16 +319,20 @@ def _count(src, byte, lo, hi):
     return sum(block.count(byte) for block in _blocks(src, lo, hi, _READ_BYTES))
 
 
+class _Differs(Exception):
+    """The file is not the writer's text."""
+
+
 def _rest(src, start, end):
     """The JSON object of the file with its table's text src[start:end]
-    replaced by null; None if that is not an object in ASCII, the only
-    text the writer makes."""
+    replaced by null, through _parse; None if that is not an object. A
+    byte outside ASCII, never the writer's, is left to _writes_as."""
     src.seek(0)
     head = src.read(start)
     src.seek(end)
     try:
-        value = _DECODER.decode((head + b"null" + src.read()).decode("ascii"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
+        value = _parse(head + b"null" + src.read(), None, _Differs)
+    except _Differs:
         return None
     return value if isinstance(value, dict) else None
 
@@ -367,10 +368,6 @@ def _parse_ints(src, start, end, shape, dtype):
             filled += values.size
     # the text ends in "]", so no number is left over
     return out if filled == flat.size else None
-
-
-class _Differs(Exception):
-    pass
 
 
 def _writes_as(value, src):

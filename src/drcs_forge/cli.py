@@ -340,12 +340,15 @@ def _run(args, pipelines):
     """Run one parsed command; pipelines holds the resolved paths of the
     pipeline configs whose steps are running, outermost first. An
     allocation the caps let through and the machine cannot hold is
-    refused like a cap (exit 3), not left to a traceback."""
+    refused like a cap (exit 3), and a document too deep to copy or
+    write like malformed input (exit 4), not left to a traceback."""
     args.pipelines = pipelines
     try:
         return _DISPATCH[args.cmd](args)
     except MemoryError as exc:
         error = ParamsOutOfRangeError("out of memory: %s" % (str(exc) or type(exc).__name__))
+    except RecursionError as exc:
+        error = ParseError("input nested too deep: %s" % exc)
     except DrcsForgeError as exc:
         error = exc
     sys.stderr.write(json_text(error.payload()) + "\n")

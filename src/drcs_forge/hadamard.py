@@ -193,7 +193,7 @@ def verify_bh(B):
     if N == 1:
         return True
     if is_prime(r):
-        if N % r != 0:
+        if N % r != 0:  # so r <= N: at most (N - 1) r bins in a count
             return False
         floor = _norm_floor(N, r)
         if _gram_error_bound(N) >= floor / 4:

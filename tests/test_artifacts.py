@@ -17,6 +17,7 @@ import io
 import json
 import math
 import os
+import re
 import tracemalloc
 from unittest import mock
 
@@ -99,7 +100,7 @@ def mutated(draw):
     inside = span[0] + pos % (span[1] - span[0])
     how = draw(st.sampled_from(["none", "token", "bracket", "unbracket", "indent", "dedent",
                                 "duplicate", "moved", "nan", "truncate", "bom", "utf16",
-                                "crlf"]))
+                                "crlf", "longint", "nonascii"]))
     if how == "token":
         text = _replace_value(text, span, pos, draw(st.sampled_from(TOKENS)))
     elif how == "bracket":
@@ -130,6 +131,16 @@ def mutated(draw):
         text = text[:draw(st.integers(0, len(text) - 1))]
     elif how == "crlf":
         text = text.replace("\n", "\r\n")
+    elif how == "longint":
+        # over Python's 4,300-digit limit on int(str)
+        header = list(re.finditer(r'\n "\w+": (\d+)', text))
+        m = header[pos % len(header)]
+        text = text[:m.start(1)] + "9" * 5000 + text[m.end(1):]
+    elif how == "nonascii":
+        # the writer's layout with a raw UTF-8 byte pair, where it writes \u00e9
+        obj = json.loads(text)
+        obj["provenance"]["note"] = "\u00e9"
+        text = json.dumps(obj, sort_keys=True, indent=1, ensure_ascii=False) + "\n"
     if how == "bom":
         data = b"\xef\xbb\xbf" + text.encode()
     elif how == "utf16":

@@ -2,6 +2,8 @@ import hashlib
 import json
 import os
 import pathlib
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -625,22 +627,31 @@ def _no_memory(*args, **kwargs):
     raise MemoryError
 
 
-@pytest.mark.parametrize("builder", [_huge_array, _no_memory])
-def test_memory_error_is_exit_3_without_a_traceback(tmp_path, capsys, monkeypatch, builder):
+def _too_deep(*args, **kwargs):
+    raise RecursionError("maximum recursion depth exceeded")
+
+
+@pytest.mark.parametrize("builder, exit_code, error, prefix", [
+    (_huge_array, 3, "ParamsOutOfRangeError", "out of memory: "),
+    (_no_memory, 3, "ParamsOutOfRangeError", "out of memory: "),
+    (_too_deep, 4, "ParseError", "input nested too deep: "),
+], ids=["_huge_array", "_no_memory", "_too_deep"])
+def test_memory_and_recursion_errors_end_without_a_traceback(tmp_path, capsys, monkeypatch,
+                                                             builder, exit_code, error, prefix):
     monkeypatch.setattr(cli, "dft_matrix", builder)
     code, out, err = run(capsys, "bh", "dft", "9")
-    assert code == 3 and out == ""
+    assert code == exit_code and out == ""
     payload = json.loads(err)
-    assert payload["error"] == "ParamsOutOfRangeError"
-    assert payload["message"].startswith("out of memory: ")
+    assert payload["error"] == error
+    assert payload["message"].startswith(prefix)
     # in a pipeline step too: the step fails, the pipeline stops there
     cfg = tmp_path / "steps.json"
     never = tmp_path / "never.json"
     cfg.write_text(json.dumps({"steps": [["bh", "dft", "9"],
                                          ["bh", "walsh", "1", "--out", str(never)]]}))
     code, _, err = run(capsys, "pipeline", str(cfg))
-    assert code == 3 and not never.exists()
-    assert json.loads(err)["error"] == "ParamsOutOfRangeError"
+    assert code == exit_code and not never.exists()
+    assert json.loads(err)["error"] == error
 
 
 def _long_set(tmp_path, L, r=2):
@@ -830,6 +841,57 @@ def test_undecodable_file_exits_4(tmp_path, capsys, argv, error):
     payload = json.loads(err)
     assert payload["error"] == error
     assert "cannot decode" in payload["message"]
+
+
+LONG = "9" * 5000  # over Python's 4,300-digit limit on int(str)
+DEEP = "[" * 600 + "]" * 600  # parsed by json, too deep to copy or write
+
+
+def _write(tmp_path, text):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    return str(path)
+
+
+def _written_rect(tmp_path, old, new):
+    """A rectangle as the CLI writes it, with the text old replaced by new."""
+    path = tmp_path / "r.json"
+    assert main(["rect", "circular-qfr", "2", "2", "--out", str(path)]) == 0
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new, 1))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, make, error, prefix", [
+    (["rect", "verify", "{}"], lambda d: _write(d, '{"N": %s, "n": 2, "rows": [[0, 1]]}' % LONG),
+     "ParseError", "malformed JSON"),
+    (["rect", "verify", "{}"], lambda d: _written_rect(d, '\n  "p": 2\n', '\n  "p": %s\n' % LONG),
+     "ParseError", "malformed JSON"),
+    (["drcs", "eval", "{}"],
+     lambda d: _write(d, '{"K": 1, "M": 1, "L": 2, "r": %s, "flocks": [[[0, 1]]]}' % LONG),
+     "SchemaError", "malformed JSON"),
+    (["pipeline", "{}"], lambda d: _write(d, '{"steps": %s}' % ("[" * 100000 + "]" * 100000)),
+     "ParseError", "malformed JSON"),
+    (["rect", "verify", "{}"],
+     lambda d: _written_rect(d, '"provenance": {', '"provenance": {"deep": %s,' % DEEP),
+     "ParseError", "input nested too deep"),
+    (["rect", "truncate", "{}", "0", "right"],
+     lambda d: _written_rect(d, '"provenance": {', '"provenance": {"deep": %s,' % DEEP),
+     "ParseError", "input nested too deep"),
+], ids=["json_path_long_int", "header_long_int", "set_long_modulus", "deep_config",
+        "deep_provenance", "deep_provenance_truncate"])
+def test_malformed_input_exits_4_in_a_fresh_process(tmp_path, argv, make, error, prefix):
+    """Inputs that json cannot convert or that nest too deep to walk, run
+    as a fresh interpreter runs them: exit 4 and one JSON payload."""
+    path = make(tmp_path)
+    argv = [a.format(path) for a in argv]
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "drcs_forge.cli", *argv], capture_output=True,
+                          text=True, env=env, cwd=tmp_path, timeout=60)
+    assert proc.returncode == 4 and proc.stdout == "", proc.stderr
+    payload = json.loads(proc.stderr)
+    assert payload["error"] == error and payload["message"].startswith(prefix)
 
 
 @pytest.mark.parametrize("encoding", ["utf-16", "utf-16-le", "utf-32"])

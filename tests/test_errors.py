@@ -236,7 +236,8 @@ def test_seed_load_and_table_read_share_one_entry(tmp_path, monkeypatch):
 @pytest.mark.parametrize("text, error", [
     ("{not json", ParseError),
     ('{"N": 2, "r": 2, "exps": [[0, 0], [0, 1.5]]}', ParseError),
-], ids=["malformed", "bad_field"])
+    ('{"N": 2, "r": %s, "exps": [[0, 0], [0, 1]]}' % ("9" * 5000), ParseError),
+], ids=["malformed", "bad_field", "longint"])
 def test_failed_load_raises_every_time(tmp_path, text, error):
     path = tmp_path / "t.json"
     path.write_text(text)

@@ -158,6 +158,18 @@ class TestVerify:
         # rows over Z_3 can't be orthogonal when 3 does not divide N
         assert not verify_bh(PhaseMatrix(4, 3, np.zeros((4, 4), dtype=int)))
 
+    def test_huge_prime_root_refused_before_counting(self, monkeypatch):
+        """At r = 2^31 - 1 the norm floor underflows to 0.0, so the counting
+        path would run and ask bincount for (N - 1) r = 2^31 int64 bins
+        (16 GiB): the N % r guard refuses the table first."""
+        r = 2 ** 31 - 1
+        assert _norm_floor(2, r) == 0.0
+
+        def unreached(*args):
+            raise AssertionError("counted the differences")
+        monkeypatch.setattr(hadamard, "_uniform_differences", unreached)
+        assert not verify_bh(PhaseMatrix(2, r, [[0, 0], [0, 1]]))
+
     def test_composite_root_numeric_path(self):
         assert verify_bh(dft_matrix(6))
         exps = dft_matrix(6).exps.copy()
