@@ -126,13 +126,14 @@ class Table:
     @classmethod
     def read(cls, path):
         """(artifact, sha256 hex digest of the file's bytes) for a JSON
-        file. Reading, decoding and parsing failures raise READ_ERROR, a
-        table the constructor refuses FIELD_ERROR, and a table over the
-        class's size cap ParamsOutOfRangeError (_check_size). The bytes
-        are read and hashed on every call; the artifact is built once per
-        (class, path, digest) while it stays in the cache. The result
-        shares the cached read-only arrays and has a provenance of its
-        own."""
+        file. Reading, decoding and parsing failures, and a document too
+        deep to check or copy (a provenance some hundreds of lists deep),
+        raise READ_ERROR, a table the constructor refuses FIELD_ERROR, and
+        a table over the class's size cap ParamsOutOfRangeError
+        (_check_size). The bytes are read and hashed on every call; the
+        artifact is built once per (class, path, digest) while it stays in
+        the cache. The result shares the cached read-only arrays and has a
+        provenance of its own."""
         error = cls.READ_ERROR
         try:
             with open(path, "rb") as fh:
@@ -146,18 +147,20 @@ class Table:
                     if value is None:
                         src.seek(0)
                         value = _parse(src.read(), path, error)
+            if entry is None:
+                try:
+                    artifact = cls.from_json(value)
+                except InvariantError as exc:
+                    raise cls.FIELD_ERROR(str(exc)) from None
+                out = _fresh(artifact)  # first, so an artifact too deep to copy is not cached
+                _remember(key, artifact)
+                return out, digest
+            _cache.move_to_end(key)
+            return _fresh(entry[0]), digest
         except OSError as exc:
             raise error("cannot read %s: %s" % (path, exc)) from None
-        if entry is None:
-            try:
-                artifact = cls.from_json(value)
-            except InvariantError as exc:
-                raise cls.FIELD_ERROR(str(exc)) from None
-            _remember(key, artifact)
-        else:
-            _cache.move_to_end(key)
-            artifact = entry[0]
-        return _fresh(artifact), digest
+        except RecursionError as exc:
+            raise error("input nested too deep: %s: %s" % (path, exc)) from None
 
     @classmethod
     def _check_size(cls, shape):
@@ -444,11 +447,17 @@ def _is_table(obj):
 
 
 def _holds_table(obj):
-    if isinstance(obj, dict):
-        obj = obj.values()
-    elif not isinstance(obj, (list, tuple)):
-        return _is_table(obj)
-    return any(_holds_table(v) for v in obj)
+    """Whether obj is or holds an integer array, at any depth the reader gives."""
+    stack = [obj]
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif _is_table(obj):
+            return True
+    return False
 
 
 def _encode(obj, level, write):

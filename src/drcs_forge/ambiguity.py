@@ -10,11 +10,12 @@ exact.
 Grids cover the open zone (-Z_x, Z_x) x (-Z_y, Z_y) on its integer
 lattice. The fast path ("fft", the default of every scan) gathers all
 lag-product sequences of a flock pair from one L x L product and runs
-one inverse FFT over them. The reference path ("naive") builds each lag
-line from integer exponent differences and takes a direct DFT of the
-lines (a matrix product with the L-th root table), sharing no code with
-the fast path; the two are cross-checked in tests and by the CLI
---paranoid mode. af_pair evaluates a single cell of one sequence pair.
+one inverse FFT over them. The reference path ("naive") reads each lag
+line off the diagonals of S[t, u] = sum_m w_r^(C1[m, t] - C2[m, u]),
+summed in m order from integer exponent differences, and takes a
+direct DFT of the lines (a matrix product with the L-th root table),
+sharing no code with the fast path; the two are cross-checked in tests
+and by the CLI --paranoid mode. af_pair evaluates one cell of two sequences.
 
 A grid's largest array holds max(L, 2 Z_x - 1) * max(L, 2 Z_y - 1)
 elements and a root table as many as its order; either one over
@@ -93,55 +94,46 @@ class AfGrid:
         return np.abs(self.values)
 
 
-# elements of the naive path's per-block temporaries: shifts are taken
-# as many at a time as keep the M x shifts x L gathers this small
-_NAIVE_BLOCK = 1 << 16
-
-
 @functools.lru_cache(maxsize=4)
 def _naive_tables(L, Z_x, Z_y):
     """The arrays _grid_naive needs for one shape, built once and frozen:
-    cols[i, t] = t + tau clipped into [0, L) for tau = i - Z_x + 1,
-    inside marks where t + tau lies in [0, L), single lists the shifts
-    with exactly one such t, and W[t, nu] = w_L^((nu t) mod L)."""
+    flat[i, t] = t L + (t + tau clipped into [0, L)) is the position of
+    S[t, t + tau] in S.ravel() for tau = i - Z_x + 1, inside marks where
+    t + tau lies in [0, L), and W[t, nu] = w_L^((nu t) mod L)."""
     t = np.arange(L)
     u = t + np.arange(-Z_x + 1, Z_x)[:, None]
     inside = (u >= 0) & (u < L)
-    cols = np.clip(u, 0, L - 1)
-    single = np.flatnonzero(inside.sum(axis=1) == 1)
+    flat = t * L + np.clip(u, 0, L - 1)
     W = _roots(L)[np.outer(t, np.arange(-Z_y + 1, Z_y)) % L]
-    for a in (cols, inside, single, W):
+    for a in (flat, inside, W):
         a.setflags(write=False)
-    return cols, inside, single, W
+    return flat, inside, W
 
 
 def _grid_naive(C1, C2, zone, r):
     """Direct DFT of the lag lines, independent of the fft path: the line
-    at shift tau is g(t) = sum_m w_r^(C1[m, t] - C2[m, t + tau]), summed
-    in m order from integer exponent differences and zero where t + tau
-    leaves [0, L). The grid is G @ W with W[t, nu] = w_L^((nu t) mod L).
+    at shift tau is g(t) = sum_m w_r^(C1[m, t] - C2[m, t + tau]), zero
+    where t + tau leaves [0, L), read off the diagonals of
+    S[t, u] = sum_m w_r^(C1[m, t] - C2[m, u]). The grid is G @ W with
+    W[t, nu] = w_L^((nu t) mod L).
 
     Both flocks are widened to int64 and reduced mod r once, so every
-    difference lies in (-r, r) and indexes the root table directly. Lines
-    are built for a block of shifts at a time, no temporary over
-    _NAIVE_BLOCK elements (or one shift's M x L). A line with a single
-    term is summed on its own, as an M x 1 column, which numpy adds
-    pairwise and not in m order; that keeps each line's bits independent
-    of the blocking."""
-    M, L = C1.shape
+    difference lies in (-r, r) and indexes the root table directly. S is
+    filled a row at a time, each an M x L sum that numpy adds in m order.
+    The two lines with a single term, tau = +-(L - 1), are summed as
+    M x 1 columns, which numpy adds pairwise, as a per-shift sum does."""
+    L = C1.shape[1]
     w = _roots(r)
     C1 = C1.astype(np.int64) % r
     C2 = C2.astype(np.int64) % r
-    cols, inside, single, W = _naive_tables(L, zone.Z_x, zone.Z_y)
-    G = np.empty(cols.shape, dtype=np.complex128)
-    step = max(1, _NAIVE_BLOCK // (M * L))
-    for i in range(0, len(cols), step):
-        lines = w[C1[:, None, :] - C2[:, cols[i : i + step]]].sum(axis=0)
-        G[i : i + step] = np.where(inside[i : i + step], lines, 0)
-    for i in single.tolist():
-        t = int(np.flatnonzero(inside[i])[0])
-        u = int(cols[i, t])
-        G[i, t] = w[C1[:, t : t + 1] - C2[:, u : u + 1]].sum(axis=0)[0]
+    flat, inside, W = _naive_tables(L, zone.Z_x, zone.Z_y)
+    S = np.empty((L, L), dtype=np.complex128)
+    for t in range(L):
+        S[t] = w[C1[:, t : t + 1] - C2].sum(axis=0)
+    G = np.where(inside, S.ravel().take(flat), 0)
+    if zone.Z_x >= L:
+        for i, t, u in ((zone.Z_x - L, L - 1, 0), (zone.Z_x + L - 2, 0, L - 1)):
+            G[i, t] = w[C1[:, t : t + 1] - C2[:, u : u + 1]].sum(axis=0)[0]
     return G @ W
 
 

@@ -54,12 +54,6 @@ class Zone:
                 "zone (%d, %d) exceeds length %d" % (self.Z_x, self.Z_y, L)
             )
 
-    def lattice(self):
-        """All (tau, nu) lattice points inside the open box."""
-        for tau in range(-self.Z_x + 1, self.Z_x):
-            for nu in range(-self.Z_y + 1, self.Z_y):
-                yield tau, nu
-
 
 class DrcsSet(Table):
     """K x M x L exponent array over Z_r plus the zone it targets. The

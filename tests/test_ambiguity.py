@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 import tracemalloc
 
@@ -129,6 +130,11 @@ EDGE_SHAPES = pytest.mark.parametrize("M, L, zone, r", [
 ], ids=["base", "zx_ne_zy", "zx_lt_L", "zone_1", "L_1", "M_1", "r_6", "zone_past_L"])
 
 
+def _lattice(zone):
+    """Every (tau, nu) of the zone's open box, tau ascending then nu."""
+    return itertools.product(range(-zone.Z_x + 1, zone.Z_x), range(-zone.Z_y + 1, zone.Z_y))
+
+
 def _edge_flocks(M, L, r):
     rng = np.random.default_rng(11)
     return rng.integers(0, r, size=(M, L)), rng.integers(0, r, size=(M, L))
@@ -171,22 +177,27 @@ class TestGrid:
     def test_naive_matches_literal_sum(self, M, L, zone, r):
         C1, C2 = _edge_flocks(M, L, r)
         g = af_grid(C1, C2, Zone(*zone), r, method="naive")
-        for tau, nu in Zone(*zone).lattice():
+        for tau, nu in _lattice(Zone(*zone)):
             want = naive_flock_af(C1.tolist(), C2.tolist(), r, tau, nu)
             assert abs(g.value(tau, nu) - want) <= 1e-12 * M * L
 
-    @pytest.mark.parametrize("block", [1, 7, 1 << 16])
     @pytest.mark.parametrize("M, L, zone, r", [
         (16, 15, (15, 15), 16),   # lines with one term at |tau| = L - 1
         (9, 12, (14, 5), 7),      # shifts past L
         (20, 6, (3, 6), 5),
         (1, 1, (1, 1), 2),
         (12, 1, (2, 1), 3),
-    ], ids=["full_zone", "past_L", "inner_zone", "one_by_one", "L_1"])
-    def test_naive_blocks_give_the_per_shift_bits(self, monkeypatch, block, M, L, zone, r):
-        """Blocking the shifts changes no bit of the naive grid: each lag
-        line is summed as the one-shift-at-a-time loop below sums it,
-        including the single-term lines numpy adds pairwise."""
+        (160, 135, (135, 135), 160),  # the N = 160 catalog row's shape
+        (2, 9, (9, 9), 4),
+        (40, 2, (2, 2), 5),
+        (1, 6, (8, 3), 3),
+    ], ids=["full_zone", "past_L", "inner_zone", "one_by_one", "L_1",
+            "catalog_160", "M_2", "L_2", "M_1_past_L"])
+    def test_naive_gives_the_per_shift_bits(self, M, L, zone, r):
+        """Reading the lag lines off the diagonals of one L x L sum changes
+        no bit of the naive grid: each line is summed as the
+        one-shift-at-a-time loop below sums it, in m order, and the
+        single-term lines pairwise, as numpy adds an M x 1 column."""
         rng = np.random.default_rng(M * L + r)
         C1 = rng.integers(-3 * r, 3 * r, size=(M, L))
         C2 = rng.integers(-3 * r, 3 * r, size=(M, L))
@@ -199,7 +210,6 @@ class TestGrid:
                 G[i, lo:hi] = w[(C1[:, lo:hi] - C2[:, lo + tau : hi + tau]) % r].sum(axis=0)
         nus = np.arange(-Z.Z_y + 1, Z.Z_y)
         want = G @ ambiguity._roots(L)[np.outer(np.arange(L), nus) % L]
-        monkeypatch.setattr(ambiguity, "_NAIVE_BLOCK", block)
         got = af_grid(C1, C2, Z, r, method="naive").values
         assert got.tobytes() == want.tobytes()
 
@@ -316,7 +326,7 @@ class TestThetaMax:
         assert witness.pop("abs") == pytest.approx(1.87602, abs=1e-5)
         assert witness == {"pair": [1, 1], "tau": -1, "nu": -1}
         cells = [(abs(naive_flock_af(S.flock(k), S.flock(k), S.r, tau, nu)), k, tau, nu)
-                 for k in range(S.K) for tau, nu in S.zone.lattice() if (tau, nu) != (0, 0)]
+                 for k in range(S.K) for tau, nu in _lattice(S.zone) if (tau, nu) != (0, 0)]
         peak = max(c[0] for c in cells)
         tol = 64 * S.M * S.L * np.finfo(float).eps
         assert next(c for c in cells if c[0] >= peak - tol)[1:] == (1, -1, -1)

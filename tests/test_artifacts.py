@@ -29,8 +29,8 @@ from drcs_forge import _artifacts, ambiguity, drcs
 from drcs_forge._artifacts import json_text
 from drcs_forge.cli import main
 from drcs_forge.drcs import DrcsSet, Zone, build_drcs, export_drcs, import_drcs
-from drcs_forge.errors import DrcsForgeError, ParamsOutOfRangeError, SchemaError
-from drcs_forge.hadamard import PhaseMatrix, dft_matrix
+from drcs_forge.errors import DrcsForgeError, ParamsOutOfRangeError, ParseError, SchemaError
+from drcs_forge.hadamard import PhaseMatrix, dft_matrix, load_seed
 from drcs_forge.rectangles import (
     Rectangle,
     build_circular_quasi_florentine,
@@ -220,6 +220,47 @@ def test_nesting_deeper_than_numpy_allows_goes_the_json_way(tmp_path):
     path.write_text(json.dumps({"N": 2, "n": 1, "rows": table}, indent=1) + "\n")
     fast, slow = _read(Rectangle, path, True), _read(Rectangle, path, False)
     assert fast == slow and fast[2] == 4
+
+
+def _nested(depth):
+    deep = []
+    for _ in range(depth - 1):
+        deep = [deep]
+    return deep
+
+
+def _small_rect():
+    return build_circular_quasi_florentine(2, 2)
+
+
+@pytest.mark.parametrize("canonical", [True, False], ids=["fast_path", "json_path"])
+@pytest.mark.parametrize("reader, make, error", [
+    (Rectangle.read, _small_rect, ParseError),
+    (load_seed, lambda: dft_matrix(4), ParseError),
+    (import_drcs, lambda: build_drcs(Rectangle(4, _small_rect().rows[:2]), dft_matrix(4)),
+     SchemaError),
+], ids=["Rectangle.read", "load_seed", "import_drcs"])
+def test_a_provenance_too_deep_to_copy_is_the_readers_error(tmp_path, reader, make, error,
+                                                            canonical):
+    """json parses a provenance 600 lists deep, but it is too deep to
+    check or copy: each reader raises its class's read error, not a bare
+    RecursionError, and caches nothing."""
+    obj = make().to_json()
+    obj["provenance"] = {"deep": _nested(600)}
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(obj, sort_keys=True, indent=1 if canonical else None) + "\n")
+    with pytest.raises(error, match="input nested too deep"):
+        reader(str(path))
+    assert all(key[1] != str(path) for key in _artifacts._cache)
+
+
+def test_a_rectangle_450_lists_deep_survives_the_writer_and_the_reader(tmp_path):
+    q = _small_rect()
+    R = Rectangle(q.N, q.rows, provenance={"deep": _nested(450)})
+    path = tmp_path / "deep.json"
+    path.write_text(json_text(R._fields()) + "\n")
+    back, _ = Rectangle.read(str(path))
+    assert back == R and back.provenance == R.provenance
 
 
 def test_every_artifact_the_cli_writes_takes_the_fast_path(tmp_path, monkeypatch, capsys):

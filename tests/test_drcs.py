@@ -68,11 +68,6 @@ class TestZone:
         with pytest.raises(ParamsOutOfRangeError):
             DrcsSet(np.zeros((1, 2, 3), dtype=int), 2, zone=Zone(4, 2))
 
-    def test_lattice_enumerates_full_rectangle(self):
-        pts = list(Zone(2, 3).lattice())
-        assert len(pts) == 3 * 5
-        assert (-1, -2) in pts and (1, 2) in pts and (0, 0) in pts
-
     def test_half_widths_positive(self):
         with pytest.raises(ParamsOutOfRangeError):
             Zone(0, 1)
