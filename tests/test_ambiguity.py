@@ -213,6 +213,40 @@ class TestGrid:
         got = af_grid(C1, C2, Z, r, method="naive").values
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("block", [1, 7, 1 << 16])
+    @pytest.mark.parametrize("M, L, zone, r", [
+        (16, 15, (15, 15), 16),   # lines with one term at |tau| = L - 1
+        (9, 12, (14, 5), 7),      # shifts past L
+        (20, 6, (3, 6), 5),
+        (1, 1, (1, 1), 2),
+        (12, 1, (2, 1), 3),
+    ], ids=["full_zone", "past_L", "inner_zone", "one_by_one", "L_1"])
+    def test_naive_blocks_give_the_per_shift_bits(self, block, M, L, zone, r):
+        """Building the lag lines for a block of shifts at a time, with
+        no temporary over `block` elements (or one shift's M x L), and
+        the single-term lines as M x 1 columns, gives the bits the
+        diagonal read of the naive grid gives, whatever the block size."""
+        rng = np.random.default_rng(M * L + r)
+        C1 = rng.integers(-3 * r, 3 * r, size=(M, L)) % r
+        C2 = rng.integers(-3 * r, 3 * r, size=(M, L)) % r
+        Z = Zone(*zone)
+        w = ambiguity._roots(r)
+        u = np.arange(L) + np.arange(-Z.Z_x + 1, Z.Z_x)[:, None]
+        inside = (u >= 0) & (u < L)
+        cols = np.clip(u, 0, L - 1)
+        G = np.empty(cols.shape, dtype=np.complex128)
+        step = max(1, block // (M * L))
+        for i in range(0, len(cols), step):
+            lines = w[C1[:, None, :] - C2[:, cols[i : i + step]]].sum(axis=0)
+            G[i : i + step] = np.where(inside[i : i + step], lines, 0)
+        for i in np.flatnonzero(inside.sum(axis=1) == 1).tolist():
+            t = int(np.flatnonzero(inside[i])[0])
+            G[i, t] = w[C1[:, t : t + 1] - C2[:, cols[i, t] : cols[i, t] + 1]].sum(axis=0)[0]
+        nus = np.arange(-Z.Z_y + 1, Z.Z_y)
+        want = G @ ambiguity._roots(L)[np.outer(np.arange(L), nus) % L]
+        got = af_grid(C1, C2, Z, r, method="naive").values
+        assert got.tobytes() == want.tobytes()
+
     @EDGE_SHAPES
     def test_default_method_is_fft(self, M, L, zone, r):
         C1, C2 = _edge_flocks(M, L, r)
