@@ -27,21 +27,20 @@ or the same error: a file that cannot be read, decoded or parsed (an
 integer over Python's 4,300-digit limit and nesting past the recursion
 limit included) raises the class's exit-4 error, and a table over the
 class's size cap (Table._check_size) exit 3, on the fast path before its
-array is made. Only a header that declares more entries than the table
-holds, but no more than half its text's bytes, can meet the cap there
-and exit 3 where json exits 4. Built artifacts are kept in a small LRU
-cache keyed by (class, path, sha256 of the bytes), so a process that
-loads the same file twice, such as a pipeline whose steps pass tables
-along, parses it once; a changed file has another digest and is parsed
-again. Loads that fail are never cached, and every hit returns a fresh
-copy. read_json gives an uncached file's JSON value, for pipeline
-configs.
+array is made. Built artifacts are kept in a small LRU cache keyed by
+(class, path, sha256 of the bytes), so a process that loads the same
+file twice, such as a pipeline whose steps pass tables along, parses it
+once; a changed file has another digest and is parsed again. Loads
+that fail are never cached, and every hit returns a fresh copy.
+read_json gives an uncached file's JSON value, for pipeline configs.
 
 Writing. json_text gives the bytes of json.dumps(..., sort_keys=True,
-indent=1) and also takes integer numpy arrays, written as the nested
-lists they hold; write_json hands the same text to a file a block at a
-time as it is made, so it never exists whole. write_file opens an
-output file and turns an OSError into ParseError (exit 4).
+indent=1) and also takes signed integer numpy arrays, written as the
+nested lists they hold. json's encoder lays out the document; only an
+integer table is laid out here, its text put where the encoder meets
+its array. write_json hands the same text to a file a block at a time
+as it is made, so it never exists whole. write_file opens an output
+file and turns an OSError into ParseError (exit 4).
 """
 
 import collections
@@ -51,7 +50,6 @@ import io
 import json
 import math
 import warnings
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -393,7 +391,7 @@ def _writes_as(value, src):
             raise _Differs
         pos += i
     try:
-        _encode(value, 0, match)
+        _encode(value, match)
         match("\n")
     except _Differs:
         return False
@@ -428,64 +426,49 @@ def write_file(path, write, binary=False):
 
 def json_text(obj):
     """json.dumps(obj, sort_keys=True, indent=1), byte for byte, where
-    obj may also hold integer numpy arrays, written as the nested lists
-    they hold without building them."""
+    obj may also hold signed integer numpy arrays, written as the nested
+    lists they hold without building them."""
     out = []
-    _encode(obj, 0, out.append)
+    _encode(obj, out.append)
     return "".join(out)
 
 
 def write_json(obj, fh):
     """Write json_text(obj) and a newline to the text file fh, each piece
     as it is made, so the whole text never exists as one string."""
-    _encode(obj, 0, fh.write)
+    _encode(obj, fh.write)
     fh.write("\n")
 
 
-def _is_table(obj):
-    return isinstance(obj, np.ndarray) and obj.dtype.kind == "i" and obj.ndim > 0
+def _encode(obj, write):
+    """Pass the text of obj to write, in pieces: json's encoder lays out
+    the document, and each non-empty signed integer array it meets is
+    laid out by _int_array (an empty one json lays out as its lists)."""
+    tables = []
 
+    def hold(o):
+        if isinstance(o, np.ndarray) and o.dtype.kind == "i" and o.ndim > 0:
+            if not o.size:
+                return o.tolist()
+            tables.append(o)
+            return ""
+        return json.JSONEncoder.default(encoder, o)  # json's TypeError
 
-def _holds_table(obj):
-    """Whether obj is or holds an integer array, at any depth the reader gives."""
-    stack = [obj]
-    while stack:
-        obj = stack.pop()
-        if isinstance(obj, dict):
-            stack.extend(obj.values())
-        elif isinstance(obj, (list, tuple)):
-            stack.extend(obj)
-        elif _is_table(obj):
-            return True
-    return False
-
-
-def _encode(obj, level, write):
-    """Pass the text of obj, nested level deep, to write, in pieces. Only
-    integer arrays and the containers that hold them are walked here;
-    any other value is json.dumps's text, indented to the level (a JSON
-    string never holds a raw newline)."""
-    if _is_table(obj):
-        _int_array(obj, level, write)
-    elif not _holds_table(obj):
-        text = json.dumps(obj, sort_keys=True, indent=1)
-        write(text.replace("\n", "\n" + " " * level))
-    else:
-        if isinstance(obj, dict):
-            if not all(isinstance(k, str) for k in obj):
-                raise TypeError("keys of a dict that holds an array must be str")
-            items = [(encode_basestring_ascii(k) + ": ", v) for k, v in sorted(obj.items())]
-            opening, closing = "{", "}"
+    encoder = json.JSONEncoder(sort_keys=True, indent=1, default=hold)
+    level = 0
+    # iterencode without _one_shot is json's pure-Python generator: it
+    # calls default when it reaches an object and yields the text of what
+    # default returned as the very next piece, so the '""' after hold
+    # keeps an array is where that array's text goes
+    for piece in encoder.iterencode(obj):
+        if tables:
+            _int_array(tables.pop(), level, write)
         else:
-            items = [("", v) for v in obj]
-            opening, closing = "[", "]"
-        inner = "\n" + " " * (level + 1)
-        sep = opening + inner
-        for key, v in items:
-            write(sep + key)
-            _encode(v, level + 1, write)
-            sep = "," + inner
-        write("\n" + " " * level + closing)
+            write(piece)
+            # a piece that starts a line ends in its indent; a JSON string
+            # never holds a raw newline
+            if "\n" in piece:
+                level = len(piece.rpartition("\n")[2])
 
 
 # entries the integer-array writer joins at a time: its index and token
@@ -502,11 +485,8 @@ def _int_array(arr, level, write):
     there, and a table holds the token of each (ends, value) pair, with
     every value formatted once. A value range too wide for the table to
     stay below the entry count has each block's values formatted as they
-    come instead; an empty axis goes through tolist."""
+    come instead; an empty array never reaches it."""
     d, n = arr.ndim, arr.size
-    if not n:
-        _encode(arr.tolist(), level, write)
-        return
     lo = int(arr.min())
     span = int(arr.max()) - lo + 1
     wide = (d + 1) * span > n

@@ -120,7 +120,9 @@ class DrcsSet(Table):
     def from_json(cls, obj):
         """The set a parsed {K, M, L, r, flocks, zone} object holds; the
         declared shape must match the payload. Nested lists of more than
-        SET_CAP entries are refused before the array is made."""
+        SET_CAP entries are refused before the array is made, and a header
+        that declares more, in sizes that are all positive, before the
+        shapes are compared."""
         try:
             flocks, r = obj["flocks"], obj["r"]
             zone = obj.get("zone")
@@ -137,6 +139,8 @@ class DrcsSet(Table):
             raise SchemaError("flocks must be K x M x L, got ndim=%d" % flocks.ndim)
         declared = tuple(json_int(obj[k], k, SchemaError) if k in obj else flocks.shape[i]
                          for i, k in enumerate("KML"))
+        if min(declared) > 0:  # as on the fast path; any other shape is malformed
+            cls._check_size(declared)
         if declared != flocks.shape:
             raise SchemaError("declared shape %s != payload shape %s" % (declared, flocks.shape))
         prov = json_object(obj.get("provenance"), "provenance", SchemaError) or {"source": "external"}

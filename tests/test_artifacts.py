@@ -307,6 +307,25 @@ def test_set_file_over_the_cap_is_refused_before_its_table_is_made(tmp_path):
         assert _read(DrcsSet, path, False)[0].flocks.shape == (2, 4, 3)
 
 
+@pytest.mark.parametrize("K, M, error", [(3, 4, ParamsOutOfRangeError), (-3, -4, SchemaError)],
+                         ids=["over_the_cap", "negative"])
+def test_a_header_gets_one_answer_in_either_layout(tmp_path, K, M, error):
+    """A 24-entry table whose header declares K = 3, 36 entries, exits 3
+    in the writer's layout and as compact JSON, whose text the fast path
+    does not take; a header of negative sizes whose product is as large
+    exits 4 in both, its shape not the table's."""
+    path = _small_set_file(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["K"], doc["M"] = K, M
+    compact = tmp_path / "compact.json"
+    path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    compact.write_text(json.dumps(doc))
+    with mock.patch.object(drcs, "SET_CAP", 30):
+        for p in (path, compact):
+            got, _, code = _read(DrcsSet, p, True)
+            assert got is error and code == error.exit_code
+
+
 # -- memory --
 
 def _peak(call):
