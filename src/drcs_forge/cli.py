@@ -3,8 +3,17 @@
 Thin composition of the library modules. All artifacts are JSON with
 sorted keys and no timestamps, so identical inputs give byte-identical
 outputs; grids additionally export CSV or 16-bit PGM. Exit codes:
-0 ok, 2 validation failure, 3 infeasible parameters, 4 I/O trouble.
-Errors go to stderr as one JSON object per failure.
+0 ok, 2 validation failure, 3 infeasible parameters, 4 I/O trouble
+(a failed write to stdout included). Errors go to stderr as one JSON
+object per failure.
+
+Each command is declared once, as one entry of COMMANDS: its group,
+name, help, handler and arguments; GROUPS holds the groups' helps.
+build_parser makes the parser from the two tables, and _run calls the
+parsed command's handler. A handler looks library names up in this
+module's globals when it runs and holds no function captured at import,
+so a name rebound here (a test's monkeypatch, a tracing wrapper such as
+perfbench's span recorder installs) is the one that runs.
 """
 
 import argparse
@@ -43,11 +52,22 @@ from .rectangles import (
 
 
 def _write(write, out=None):
-    """Call write(fh) on the file out, or on stdout when out is None."""
-    if out:
+    """Call write(fh) on the file out, or on stdout when out is None. A
+    failed write or flush of stdout raises ParseError, like a file's."""
+    if out is not None:
         write_file(out, write)
-    else:
+        return
+    try:
         write(sys.stdout)
+        sys.stdout.flush()
+    except OSError as exc:
+        # what stdout still buffers would fail again in the exit-time
+        # flush and print "Exception ignored": send it to os.devnull
+        with contextlib.suppress(OSError, ValueError):  # no file descriptor
+            fd = sys.stdout.fileno()
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), fd)
+        raise ParseError("cannot write <stdout>: %s" % exc) from None
 
 
 def _emit(obj, out=None):
@@ -55,65 +75,49 @@ def _emit(obj, out=None):
     _write(functools.partial(write_json, obj), out)
 
 
-# --- rect ---
+def _builds(make):
+    """The handler of a command that writes the _fields() of the artifact
+    make(args) gives."""
+    def run(args):
+        _emit(make(args)._fields(), args.out)
+        return 0
+    return run
 
-def cmd_rect(args):
-    if args.rect_cmd == "circular-florentine":
-        _emit(build_circular_florentine(args.N)._fields(), args.out)
-    elif args.rect_cmd == "circular-qfr":
-        _emit(build_circular_quasi_florentine(args.p, args.n)._fields(), args.out)
-    elif args.rect_cmd == "extended-qfr":
-        _emit(build_extended_quasi_florentine(args.p, args.n)._fields(), args.out)
-    elif args.rect_cmd == "truncate":
-        R = truncate_columns(Rectangle.read(args.file)[0], args.k, args.side)
-        _emit(R._fields(), args.out)
-    elif args.rect_cmd == "product":
-        D = product_construct(Rectangle.read(args.fileA)[0], Rectangle.read(args.fileB)[0])
-        _emit(D._fields(), args.out)
-    elif args.rect_cmd == "verify":
-        R = Rectangle.read(args.file)[0]
-        out = {"N": R.N, "rows": R.nrows, "cols": R.ncols, "circular": args.circular}
-        out["c1"] = verify_c1(R)
-        if not out["c1"]:
-            i, v = c1_witness(R)
-            out["c1_witness"] = {"row": i, "symbol": v}
-        else:
-            wit = c2_witness(R, circular=args.circular)
-            out["c2"] = wit is None
-            if wit is not None:
-                out["c2_witness"] = wit
-        _emit(out, args.out)
-        return 0 if out.get("c2") else 2
-    elif args.rect_cmd == "search":
-        R, cert = search_max_rows(args.N, args.n, circular=args.circular,
-                                  row_cap=args.row_cap)
-        _emit({"rectangle": R._fields(), "certificate": cert}, args.out)
+
+def cmd_rect_verify(args):
+    R = Rectangle.read(args.file)[0]
+    out = {"N": R.N, "rows": R.nrows, "cols": R.ncols, "circular": args.circular}
+    out["c1"] = verify_c1(R)
+    if not out["c1"]:
+        i, v = c1_witness(R)
+        out["c1_witness"] = {"row": i, "symbol": v}
+    else:
+        wit = c2_witness(R, circular=args.circular)
+        out["c2"] = wit is None
+        if wit is not None:
+            out["c2_witness"] = wit
+    _emit(out, args.out)
+    return 0 if out.get("c2") else 2
+
+
+def cmd_rect_search(args):
+    R, cert = search_max_rows(args.N, args.n, circular=args.circular, row_cap=args.row_cap)
+    _emit({"rectangle": R._fields(), "certificate": cert}, args.out)
     return 0
 
 
-# --- bh ---
-
-def cmd_bh(args):
-    if args.bh_cmd == "dft":
-        _emit(dft_matrix(args.N)._fields(), args.out)
-    elif args.bh_cmd == "walsh":
-        _emit(walsh_hadamard(args.m)._fields(), args.out)
-    elif args.bh_cmd == "kron":
-        if len(args.files) < 2:
-            raise ParamsOutOfRangeError("kron needs at least two files")
-        mats = [load_seed(f) for f in args.files]
-        _emit(functools.reduce(kronecker, mats)._fields(), args.out)
-    elif args.bh_cmd == "load":
-        _emit(load_seed(args.file)._fields(), args.out)
-    elif args.bh_cmd == "verify":
-        B = PhaseMatrix.read(args.file)[0]
-        ok = verify_bh(B)
-        _emit({"N": B.N, "r": B.r, "butson": ok}, args.out)
-        return 0 if ok else 2
-    return 0
+def _kron(args):
+    if len(args.files) < 2:
+        raise ParamsOutOfRangeError("kron needs at least two files")
+    return functools.reduce(kronecker, [load_seed(f) for f in args.files])
 
 
-# --- drcs ---
+def cmd_bh_verify(args):
+    B = PhaseMatrix.read(args.file)[0]
+    ok = verify_bh(B)
+    _emit({"N": B.N, "r": B.r, "butson": ok}, args.out)
+    return 0 if ok else 2
+
 
 def _paranoid_check(S, zone):
     """Rerun every ordered pair through both grid paths and spot-check
@@ -146,59 +150,57 @@ def _paranoid_check(S, zone):
             )
 
 
-def cmd_drcs(args):
-    if args.drcs_cmd == "build":
-        A = Rectangle.read(args.rect)[0]
-        B = load_seed(args.bh)
-        S = build_drcs(A, B)
-        if args.out:
-            export_drcs(S, args.out)
-        else:
-            _emit(S._fields())
-        return 0
-    if args.drcs_cmd == "eval":
-        S = import_drcs(args.set)
-        zone = Zone(*args.zone) if args.zone else S.zone
-        rep = ambiguity.theta_max(S, zone, args.method)
-        out = {"theta": rep.to_json()}
-        if args.paranoid:
-            _paranoid_check(S, zone)
-            out["paranoid"] = "ok"
-        try:
-            out["bound"] = bounds.optimality_factor(S, rep).to_json()
-        except InfeasibleError:
-            flags = bounds.af_lower_bound(S.K, S.M, S.L, zone.Z_y, zone.Z_x)
-            out["bound"] = {"infeasible": True, "flags": flags}
-        _emit(out, args.out)
-        return 0
-    if args.drcs_cmd == "report":
-        S = import_drcs(args.set)
-        rep = ambiguity.theta_max(S)
-        br = bounds.optimality_factor(S, rep)
-        header = "K M L Z_x Z_y theta bound rho"
-        row = "%d %d %d %d %d %.4f %.4f %.4f" % (
-            br.K, br.M, br.N_len, br.Z_x, br.Z_y, br.theta, br.bound, br.rho
-        )
-        text = header + "\n" + row + "\n"
-        _write(lambda fh: fh.write(text), args.out)
-        return 0
-    if args.drcs_cmd == "grid":
-        out = args.out
-        if not out.endswith((".csv", ".pgm")):
-            raise ParamsOutOfRangeError("--out must end in .csv or .pgm")
-        if args.matrix and out.endswith(".pgm"):
-            raise ParamsOutOfRangeError("--matrix writes a .csv; a .pgm is always the heat map")
-        S = import_drcs(args.set)
-        k1, k2 = args.pair
-        if not (0 <= k1 < S.K and 0 <= k2 < S.K):
-            raise ParamsOutOfRangeError("pair indices must lie in [0, %d)" % S.K)
-        g = ambiguity.af_grid(S.flock(k1), S.flock(k2), S.zone, S.r, args.method, (k1, k2))
-        if out.endswith(".pgm"):
-            write_file(out, functools.partial(ambiguity.write_pgm, g), binary=True)
-        else:
-            writer = ambiguity.write_magnitude_csv if args.matrix else ambiguity.write_cells_csv
-            write_file(out, functools.partial(writer, g))
-        return 0
+def cmd_drcs_build(args):
+    S = build_drcs(Rectangle.read(args.rect)[0], load_seed(args.bh))
+    if args.out is not None:
+        export_drcs(S, args.out)
+    else:
+        _emit(S._fields())
+    return 0
+
+
+def cmd_drcs_eval(args):
+    S = import_drcs(args.set)
+    zone = Zone(*args.zone) if args.zone else S.zone
+    rep = ambiguity.theta_max(S, zone, args.method)
+    out = {"theta": rep.to_json()}
+    if args.paranoid:
+        _paranoid_check(S, zone)
+        out["paranoid"] = "ok"
+    try:
+        out["bound"] = bounds.optimality_factor(S, rep).to_json()
+    except InfeasibleError:
+        flags = bounds.af_lower_bound(S.K, S.M, S.L, zone.Z_y, zone.Z_x)
+        out["bound"] = {"infeasible": True, "flags": flags}
+    _emit(out, args.out)
+    return 0
+
+
+def cmd_drcs_report(args):
+    S = import_drcs(args.set)
+    br = bounds.optimality_factor(S, ambiguity.theta_max(S))
+    text = "K M L Z_x Z_y theta bound rho\n%d %d %d %d %d %.4f %.4f %.4f\n" % (
+        br.K, br.M, br.N_len, br.Z_x, br.Z_y, br.theta, br.bound, br.rho)
+    _write(lambda fh: fh.write(text), args.out)
+    return 0
+
+
+def cmd_drcs_grid(args):
+    out = args.out
+    if not out.endswith((".csv", ".pgm")):
+        raise ParamsOutOfRangeError("--out must end in .csv or .pgm")
+    if args.matrix and out.endswith(".pgm"):
+        raise ParamsOutOfRangeError("--matrix writes a .csv; a .pgm is always the heat map")
+    S = import_drcs(args.set)
+    k1, k2 = args.pair
+    if not (0 <= k1 < S.K and 0 <= k2 < S.K):
+        raise ParamsOutOfRangeError("pair indices must lie in [0, %d)" % S.K)
+    g = ambiguity.af_grid(S.flock(k1), S.flock(k2), S.zone, S.r, args.method, (k1, k2))
+    if out.endswith(".pgm"):
+        write_file(out, functools.partial(ambiguity.write_pgm, g), binary=True)
+    else:
+        writer = ambiguity.write_magnitude_csv if args.matrix else ambiguity.write_cells_csv
+        write_file(out, functools.partial(writer, g))
     return 0
 
 
@@ -239,97 +241,90 @@ def _step_args(argv):
         raise ParseError("pipeline step %s rejected: %s" % (argv, "".join(message))) from None
 
 
+# --- the command table ---
+
+def _arg(*flags, **kwargs):
+    """The arguments of one add_argument call."""
+    return flags, kwargs
+
+
+def _ints(*names):
+    return [_arg(name, type=int) for name in names]
+
+
+_OUT = _arg("--out")
+_CIRCULAR = _arg("--circular", action="store_true")
+_METHOD = _arg("--method", choices=("naive", "fft"), default="fft")
+
+GROUPS = {
+    "rect": "rectangle construction and verification",
+    "bh": "Butson matrix construction and verification",
+    "drcs": "sequence-set assembly and evaluation",
+}
+
+# group (None at the top level), name, help, handler, arguments in order
+COMMANDS = [
+    ("rect", "circular-florentine", "rows (i+1)*j mod N",
+     _builds(lambda a: build_circular_florentine(a.N)), [*_ints("N"), _OUT]),
+    ("rect", "circular-qfr", "field-based p^n x (p^n - 1) rectangle",
+     _builds(lambda a: build_circular_quasi_florentine(a.p, a.n)), [*_ints("p", "n"), _OUT]),
+    ("rect", "extended-qfr", "qfr plus a constant extra-symbol column",
+     _builds(lambda a: build_extended_quasi_florentine(a.p, a.n)), [*_ints("p", "n"), _OUT]),
+    ("rect", "truncate", "drop k columns from one side",
+     _builds(lambda a: truncate_columns(Rectangle.read(a.file)[0], a.k, a.side)),
+     [_arg("file"), *_ints("k"), _arg("side", choices=("left", "right")), _OUT]),
+    ("rect", "product", "alphabet-product of two rectangles",
+     _builds(lambda a: product_construct(Rectangle.read(a.fileA)[0],
+                                         Rectangle.read(a.fileB)[0])),
+     [_arg("fileA"), _arg("fileB"), _OUT]),
+    ("rect", "verify", "check C1 and C2, print witnesses", cmd_rect_verify,
+     [_arg("file"), _CIRCULAR, _OUT]),
+    ("rect", "search", "exhaustive max-rows search at tiny N", cmd_rect_search,
+     [*_ints("N", "n"), _CIRCULAR, _arg("--row-cap", type=int, default=None), _OUT]),
+    ("bh", "dft", "Fourier matrix of order N",
+     _builds(lambda a: dft_matrix(a.N)), [*_ints("N"), _OUT]),
+    ("bh", "walsh", "Sylvester matrix of order 2^m",
+     _builds(lambda a: walsh_hadamard(a.m)), [*_ints("m"), _OUT]),
+    ("bh", "kron", "Kronecker product of two or more matrices",
+     _builds(_kron), [_arg("files", nargs="+"), _OUT]),
+    ("bh", "load", "load and verify a seed file",
+     _builds(lambda a: load_seed(a.file)), [_arg("file"), _OUT]),
+    ("bh", "verify", "check the Butson property", cmd_bh_verify, [_arg("file"), _OUT]),
+    ("drcs", "build", "assemble a set from rectangle + Butson files", cmd_drcs_build,
+     [_arg("rect"), _arg("bh"), _OUT]),
+    ("drcs", "eval", "peak scan plus bound comparison", cmd_drcs_eval,
+     [_arg("set"), _arg("--zone", nargs=2, type=int, metavar=("ZX", "ZY")), _METHOD,
+      _arg("--paranoid", action="store_true"), _OUT]),
+    ("drcs", "report", "one table-style summary row", cmd_drcs_report, [_arg("set"), _OUT]),
+    ("drcs", "grid", "export one pair's ambiguity grid", cmd_drcs_grid,
+     [_arg("set"), _arg("--pair", nargs=2, type=int, required=True, metavar=("K1", "K2")),
+      _METHOD, _arg("--matrix", action="store_true",
+                    help="write the magnitude matrix instead of cell rows (.csv only)"),
+      _arg("--out", required=True)]),
+    (None, "pipeline", "run steps from a JSON config", cmd_pipeline, [_arg("config")]),
+]
+
+
 @functools.lru_cache(maxsize=None)
 def build_parser():
-    """The CLI's argument parser, built on first use and shared by main
-    and every pipeline step of the process (never at import)."""
+    """The CLI's argument parser, built from GROUPS and COMMANDS on first
+    use and shared by main and every pipeline step of the process (never
+    at import). Each command's handler is its parser's default run."""
     ap = argparse.ArgumentParser(
         prog="drcs-forge",
         description="construct and evaluate Doppler-resilient complementary sequence sets",
     )
     sub = ap.add_subparsers(dest="cmd", required=True)
-
-    rect = sub.add_parser("rect", help="rectangle construction and verification")
-    rsub = rect.add_subparsers(dest="rect_cmd", required=True)
-    r = rsub.add_parser("circular-florentine", help="rows (i+1)*j mod N")
-    r.add_argument("N", type=int)
-    r.add_argument("--out")
-    r = rsub.add_parser("circular-qfr", help="field-based p^n x (p^n - 1) rectangle")
-    r.add_argument("p", type=int)
-    r.add_argument("n", type=int)
-    r.add_argument("--out")
-    r = rsub.add_parser("extended-qfr", help="qfr plus a constant extra-symbol column")
-    r.add_argument("p", type=int)
-    r.add_argument("n", type=int)
-    r.add_argument("--out")
-    r = rsub.add_parser("truncate", help="drop k columns from one side")
-    r.add_argument("file")
-    r.add_argument("k", type=int)
-    r.add_argument("side", choices=("left", "right"))
-    r.add_argument("--out")
-    r = rsub.add_parser("product", help="alphabet-product of two rectangles")
-    r.add_argument("fileA")
-    r.add_argument("fileB")
-    r.add_argument("--out")
-    r = rsub.add_parser("verify", help="check C1 and C2, print witnesses")
-    r.add_argument("file")
-    r.add_argument("--circular", action="store_true")
-    r.add_argument("--out")
-    r = rsub.add_parser("search", help="exhaustive max-rows search at tiny N")
-    r.add_argument("N", type=int)
-    r.add_argument("n", type=int)
-    r.add_argument("--circular", action="store_true")
-    r.add_argument("--row-cap", type=int, default=None)
-    r.add_argument("--out")
-
-    bh = sub.add_parser("bh", help="Butson matrix construction and verification")
-    bsub = bh.add_subparsers(dest="bh_cmd", required=True)
-    b = bsub.add_parser("dft", help="Fourier matrix of order N")
-    b.add_argument("N", type=int)
-    b.add_argument("--out")
-    b = bsub.add_parser("walsh", help="Sylvester matrix of order 2^m")
-    b.add_argument("m", type=int)
-    b.add_argument("--out")
-    b = bsub.add_parser("kron", help="Kronecker product of two or more matrices")
-    b.add_argument("files", nargs="+")
-    b.add_argument("--out")
-    b = bsub.add_parser("load", help="load and verify a seed file")
-    b.add_argument("file")
-    b.add_argument("--out")
-    b = bsub.add_parser("verify", help="check the Butson property")
-    b.add_argument("file")
-    b.add_argument("--out")
-
-    dr = sub.add_parser("drcs", help="sequence-set assembly and evaluation")
-    dsub = dr.add_subparsers(dest="drcs_cmd", required=True)
-    d = dsub.add_parser("build", help="assemble a set from rectangle + Butson files")
-    d.add_argument("rect")
-    d.add_argument("bh")
-    d.add_argument("--out")
-    d = dsub.add_parser("eval", help="peak scan plus bound comparison")
-    d.add_argument("set")
-    d.add_argument("--zone", nargs=2, type=int, metavar=("ZX", "ZY"))
-    d.add_argument("--method", choices=("naive", "fft"), default="fft")
-    d.add_argument("--paranoid", action="store_true")
-    d.add_argument("--out")
-    d = dsub.add_parser("report", help="one table-style summary row")
-    d.add_argument("set")
-    d.add_argument("--out")
-    d = dsub.add_parser("grid", help="export one pair's ambiguity grid")
-    d.add_argument("set")
-    d.add_argument("--pair", nargs=2, type=int, required=True, metavar=("K1", "K2"))
-    d.add_argument("--method", choices=("naive", "fft"), default="fft")
-    d.add_argument("--matrix", action="store_true",
-                   help="write the magnitude matrix instead of cell rows (.csv only)")
-    d.add_argument("--out", required=True)
-
-    pl = sub.add_parser("pipeline", help="run steps from a JSON config")
-    pl.add_argument("config")
-
+    subs = {None: sub}
+    for group, help_text in GROUPS.items():
+        subs[group] = sub.add_parser(group, help=help_text).add_subparsers(
+            dest=group + "_cmd", required=True)
+    for group, name, help_text, run, arguments in COMMANDS:
+        p = subs[group].add_parser(name, help=help_text)
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(run=run)
     return ap
-
-
-_DISPATCH = {"rect": cmd_rect, "bh": cmd_bh, "drcs": cmd_drcs, "pipeline": cmd_pipeline}
 
 
 def main(argv=None):
@@ -344,7 +339,7 @@ def _run(args, pipelines):
     write like malformed input (exit 4), not left to a traceback."""
     args.pipelines = pipelines
     try:
-        return _DISPATCH[args.cmd](args)
+        return args.run(args)
     except MemoryError as exc:
         error = ParamsOutOfRangeError("out of memory: %s" % (str(exc) or type(exc).__name__))
     except RecursionError as exc:

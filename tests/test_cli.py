@@ -1,4 +1,7 @@
+import contextlib
+import errno
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -92,6 +95,76 @@ def test_build_out_to_missing_dir(tmp_path, capsys, monkeypatch, argv):
     assert code == 4
     assert out == ""
     assert json.loads(err)["error"] == "ParseError"
+
+
+@pytest.mark.parametrize("argv", [["drcs", "report", "set.json", "--out", ""],
+                                  ["drcs", "build", "r.json", "h.json", "--out", ""]],
+                         ids=["report", "build"])
+def test_empty_out_is_refused(tmp_path, capsys, monkeypatch, argv):
+    """An --out that is given is a path, even an empty one: no silent
+    fallback to stdout."""
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "rect", "circular-qfr", "3", "2", "--out", "r.json")
+    run(capsys, "bh", "dft", "9", "--out", "h.json")
+    run(capsys, "drcs", "build", "r.json", "h.json", "--out", "set.json")
+    code, out, err = run(capsys, *argv)
+    assert code == 4 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ParseError" and payload["message"].startswith("cannot write")
+
+
+class _FailingStdout(io.StringIO):
+    """A stdout whose write or flush fails as a full disk does."""
+
+    def __init__(self, fails):
+        super().__init__()
+        self.fails = fails
+
+    def write(self, text):
+        if self.fails == "write":
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return super().write(text)
+
+    def flush(self):
+        if self.fails == "flush":
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("fails", ["write", "flush"])
+@pytest.mark.parametrize("argv", [["bh", "dft", "3"], ["rect", "verify", "{}"]],
+                         ids=["dft", "verify"])
+def test_stdout_write_failure_exits_4(tmp_path, capsys, fails, argv):
+    rect = tmp_path / "r.json"
+    run(capsys, "rect", "circular-florentine", "5", "--out", str(rect))
+    with contextlib.redirect_stdout(_FailingStdout(fails)):
+        code = main([a.format(rect) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    payload = json.loads(captured.err)
+    assert payload["error"] == "ParseError"
+    assert payload["message"].startswith("cannot write <stdout>: [Errno %d]" % errno.ENOSPC)
+
+
+@pytest.mark.parametrize("target", ["dev_full", "closed_pipe"])
+def test_stdout_write_failure_in_a_fresh_process(tmp_path, target):
+    """Output to a full device or to a pipe whose reader is gone: exit 4,
+    one JSON payload, and no exit-time flush error after it."""
+    if target == "dev_full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).resolve().parents[1]))
+    argv = [sys.executable, "-m", "drcs_forge.cli", "bh", "dft", "3"]
+    kwargs = dict(stderr=subprocess.PIPE, env=env, cwd=tmp_path)
+    if target == "dev_full":
+        with open("/dev/full", "w") as full:
+            proc = subprocess.Popen(argv, stdout=full, **kwargs)
+    else:
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, **kwargs)
+        proc.stdout.close()  # long before the interpreter is up to write
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 4, err
+    payload = json.loads(err)
+    assert payload["error"] == "ParseError"
+    assert payload["message"].startswith("cannot write <stdout>")
 
 
 def _set_json(tmp_path, capsys):

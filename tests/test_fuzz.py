@@ -16,6 +16,7 @@ import tempfile
 
 from hypothesis import given, settings, strategies as st
 
+from drcs_forge import cli
 from drcs_forge.cli import main
 
 # a few values past every integer width the loaders convert to
@@ -172,13 +173,21 @@ def test_rectangle_builders(builder, p, n, width_a, width_b):
         check_outcome(argv, *run_cli(argv))
 
 
+def _table_words():
+    """Every group, command, flag and choice of the CLI's command table."""
+    words = list(cli.GROUPS)
+    for _, name, _, _, arguments in cli.COMMANDS:
+        words.append(name)
+        for flags, kwargs in arguments:
+            words += [f for f in flags if f.startswith("-")] + list(kwargs.get("choices", ()))
+    return list(dict.fromkeys(words))
+
+
 # words of valid steps, with numbers small enough that no builder they
-# reach makes more than a few hundred entries (drawn text holds no digits)
-WORDS = ["rect", "bh", "drcs", "pipeline", "circular-florentine", "circular-qfr",
-         "extended-qfr", "truncate", "product", "verify", "dft", "walsh", "kron", "load",
-         "build", "eval", "report", "grid", "--out", "--help", "--pair", "--zone",
-         "--circular", "--matrix", "--method", "fft", "left", "rect.json", "bh.json",
-         "o.json", "o.csv", "cfg.json", "-1", "0", "1", "2", "3"]
+# reach makes more than a few hundred entries and rect search stays tiny
+# (drawn text holds no digits)
+WORDS = _table_words() + ["--help", "rect.json", "bh.json", "o.json", "o.csv", "cfg.json",
+                          "-1", "0", "1", "2", "3"]
 step = st.lists(st.sampled_from(WORDS) | st.integers(-1, 3) | st.text("ab-_. ", max_size=3),
                 max_size=6)
 config = (st.fixed_dictionaries({"steps": st.lists(step, max_size=4)})
