@@ -2,10 +2,10 @@
 
 Sequences are integer exponent arrays over the r-th roots of unity; the
 Doppler root is always the L-th root for length-L sequences, so every
-term of the ambiguity sum is a root of unity of order lcm(r, L). Values
-are accumulated from a precomputed root table in double precision
-(numpy's pairwise summation), which keeps results within a few ulp of
-exact.
+term of the ambiguity sum is an r-th root times an L-th root. Every
+evaluator gathers its roots from the two cached tables of orders r and
+L (_roots) and accumulates in double precision (numpy's pairwise
+summation), which keeps results within a few ulp of exact.
 
 Grids cover the open zone (-Z_x, Z_x) x (-Z_y, Z_y) on its integer
 lattice. The fast path ("fft", the default of every scan) gathers all
@@ -15,7 +15,9 @@ line off the diagonals of S[t, u] = sum_m w_r^(C1[m, t] - C2[m, u]),
 summed in m order from integer exponent differences, and takes a
 direct DFT of the lines (a matrix product with the L-th root table),
 sharing no code with the fast path; the two are cross-checked in tests
-and by the CLI --paranoid mode. af_pair evaluates one cell of two sequences.
+and by the CLI --paranoid mode. af_pair evaluates one cell of two
+sequences as a literal sum over the two tables; --paranoid's spot cells
+compare it with oracles.naive_af.
 
 A grid's largest array holds max(L, 2 Z_x - 1) * max(L, 2 Z_y - 1)
 elements and a root table as many as its order; either one over
@@ -31,7 +33,6 @@ they are sorted, and one block.
 """
 
 import functools
-import math
 
 import numpy as np
 
@@ -62,15 +63,13 @@ def af_pair(a, b, r, tau, nu):
     if abs(tau) >= L:
         return 0j
     nu = int(nu) % L
-    R = math.lcm(int(r), L)
     if tau >= 0:
         ai, bi = a[: L - tau], b[tau:]
         t = np.arange(0, L - tau, dtype=np.int64)
     else:
         ai, bi = a[-tau:], b[: L + tau]
         t = np.arange(-tau, L, dtype=np.int64)
-    e = ((R // r) * (ai - bi) + (R // L) * nu * t) % R
-    return complex(_roots(R)[e].sum())
+    return complex((_roots(int(r))[(ai - bi) % r] * _roots(L)[nu * t % L]).sum())
 
 
 class AfGrid:
@@ -137,13 +136,6 @@ def _grid_naive(C1, C2, zone, r):
     return G @ W
 
 
-@functools.lru_cache(maxsize=64)
-def _conj_roots(order):
-    w = _roots(order).conj()
-    w.setflags(write=False)
-    return w
-
-
 @functools.lru_cache(maxsize=4)
 def _lag_gather(L, Z_x, Z_y):
     """The index arrays of _grid_fft for one shape, built once and frozen:
@@ -165,9 +157,12 @@ def _grid_fft(C1, C2, zone, r):
     line at shift tau is g(t) = P[t, t + tau], zero where t + tau leaves
     [0, L). All lines go through one inverse DFT along t, scaled by L in
     place; nu bins are sampled mod L. The root gathers wrap exponents
-    into [0, r), as C % r does, and read conj(w) from a table of its own."""
+    into [0, r), as C % r does; the C2 gather is conjugated in place."""
     L = C1.shape[1]
-    P = _roots(r).take(C1, mode="wrap").T @ _conj_roots(r).take(C2, mode="wrap")
+    w = _roots(r)
+    X2 = w.take(C2, mode="wrap")
+    np.conjugate(X2, out=X2)
+    P = w.take(C1, mode="wrap").T @ X2
     flat, inside, nus = _lag_gather(L, zone.Z_x, zone.Z_y)
     g = np.fft.ifft(np.where(inside, P.ravel().take(flat), 0), axis=1)
     g *= L

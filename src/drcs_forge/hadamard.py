@@ -97,11 +97,13 @@ def walsh_hadamard(m):
 def kronecker(B1, B2):
     """Kronecker product: order N1*N2 over r = lcm(r1, r2).
 
-    Phases add after rescaling both factors onto the common root.
+    Phases add after rescaling both factors onto the common root; with
+    r <= 2^62 the sum of two rescaled exponents, below 2r, fits int64.
     """
     N = B1.N * B2.N
     require(N, ORDER_CAP, "kronecker product of order %d" % N)
     r = math.lcm(B1.r, B2.r)
+    require(r, 2 ** 62, "int64 kronecker root order %d" % r)
     s1, s2 = r // B1.r, r // B2.r
     a = (s1 * B1.exps)[:, None, :, None]
     b = (s2 * B2.exps)[None, :, None, :]

@@ -100,6 +100,34 @@ class TestPairEvaluator:
         want = naive_correlation(a, b, r, tau)
         assert abs(got - want) <= 1e-9 * len(a)
 
+    @pytest.mark.parametrize("r, L", [(3, 4), (6, 4), (7, 2), (1048583, 8)])
+    def test_reads_only_the_order_r_and_order_L_tables(self, monkeypatch, r, L):
+        """No table of order lcm(r, L): at r = 1048583, L = 8 that one is
+        over GRID_CAP while both of these are not."""
+        orders, roots = [], ambiguity._roots
+
+        def recording(order):
+            orders.append(order)
+            return roots(order)
+
+        monkeypatch.setattr(ambiguity, "_roots", recording)
+        rng = np.random.default_rng(r + L)
+        a, b = rng.integers(0, r, size=(2, L))
+        for tau, nu in ((0, 0), (1 - L, 1), (L // 2, -1)):
+            got = af_pair(a, b, r, tau, nu)
+            assert abs(got - naive_af(a.tolist(), b.tolist(), r, tau, nu)) <= 1e-9 * L
+        assert set(orders) == {r, L}
+
+    @given(sequence_pairs(), st.data(), st.sampled_from(["naive", "fft"]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_grid_cell(self, pair, data, method):
+        a, b, r = pair
+        L = len(a)
+        tau = data.draw(st.integers(-L + 1, L - 1))
+        nu = data.draw(st.integers(-L + 1, L - 1))
+        g = af_grid([a], [b], Zone(L, L), r, method)
+        assert abs(af_pair(a, b, r, tau, nu) - g.value(tau, nu)) <= 1e-9 * L
+
 
 class TestFlockEvaluator:
     def test_matches_naive(self, rng_flocks=None):
@@ -153,6 +181,33 @@ def literal_grid_fft(C1, C2, zone, r):
     return (L * np.fft.ifft(g, axis=1))[:, np.arange(-zone.Z_y + 1, zone.Z_y) % L]
 
 
+def conj_table_grid_fft(C1, C2, zone, r):
+    """The fft path with its C2 roots gathered from a conjugated copy of
+    the root table, as it was before the gather was conjugated in place."""
+    L = C1.shape[1]
+    w = ambiguity._roots(r)
+    P = w.take(C1, mode="wrap").T @ w.conj().take(C2, mode="wrap")
+    flat, inside, nus = ambiguity._lag_gather(L, zone.Z_x, zone.Z_y)
+    g = np.fft.ifft(np.where(inside, P.ravel().take(flat), 0), axis=1)
+    g *= L
+    return g.take(nus, axis=1)
+
+
+@st.composite
+def narrow_flock_pairs(draw):
+    """Two flocks of one signed dtype, as a set stores them, with entries
+    in [-2r, 2r) where the dtype holds them, and a zone up to L."""
+    dtype = np.dtype(draw(st.sampled_from([np.int8, np.int16, np.int64])))
+    r = draw(st.integers(2, 127 if dtype == np.int8 else 400))
+    M, L = draw(st.integers(1, 6)), draw(st.integers(1, 20))
+    zone = Zone(draw(st.integers(1, L)), draw(st.integers(1, L)))
+    info = np.iinfo(dtype)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    C1, C2 = rng.integers(max(-2 * r, info.min), min(2 * r, info.max + 1),
+                          size=(2, M, L), dtype=dtype)
+    return C1, C2, zone, r
+
+
 class TestGrid:
     @EDGE_SHAPES
     @pytest.mark.parametrize("span", [1, 3], ids=["in_range", "wrapped"])
@@ -164,6 +219,26 @@ class TestGrid:
         C1, C2 = rng.integers(-(span - 1) * r, span * r, size=(2, M, L))
         got = af_grid(C1, C2, Zone(*zone), r, method="fft").values
         assert got.tobytes() == literal_grid_fft(C1, C2, Zone(*zone), r).tobytes()
+
+    @given(narrow_flock_pairs())
+    @settings(max_examples=120, deadline=None)
+    def test_fft_gives_the_conjugate_table_bits(self, case):
+        """Conjugating the C2 gather in place, instead of gathering from a
+        conjugated table, changes no bit: conjugation is exact."""
+        C1, C2, zone, r = case
+        got = af_grid(C1, C2, zone, r, method="fft").values
+        assert got.tobytes() == conj_table_grid_fft(C1, C2, zone, r).tobytes()
+
+    def test_fft_gives_the_conjugate_table_bits_at_benchmark_shapes(self, set160):
+        """eval-many's set (int8 flocks) and eval-long's (int16), every
+        pair with flock 0 and the last auto pair."""
+        many = build_drcs(build_circular_quasi_florentine(2, 4), dft_matrix(16))
+        for S, dtype in ((many, np.int8), (set160, np.int16)):
+            assert S.flocks.dtype == dtype
+            for k1, k2 in [(0, k) for k in range(S.K)] + [(S.K - 1, S.K - 1)]:
+                C1, C2 = S.flock(k1), S.flock(k2)
+                got = af_grid(C1, C2, S.zone, S.r, method="fft").values
+                assert got.tobytes() == conj_table_grid_fft(C1, C2, S.zone, S.r).tobytes()
 
     @EDGE_SHAPES
     def test_naive_equals_fft(self, M, L, zone, r):

@@ -491,6 +491,22 @@ def test_eval_paranoid_cross_check(tmp_path, capsys):
     assert json.loads(out)["paranoid"] == "ok"
 
 
+def test_eval_paranoid_at_a_root_order_past_the_grid_cap(tmp_path, capsys):
+    """r = 1048583 with L = 8: lcm(r, L) is over GRID_CAP, the tables of
+    orders r and L are not, so --paranoid accepts the set plain eval does."""
+    sset = tmp_path / "s.json"
+    r = 1048583
+    flocks = np.random.default_rng(5).integers(0, r, size=(2, 2, 8)).tolist()
+    sset.write_text(json.dumps({"K": 2, "M": 2, "L": 8, "r": r, "flocks": flocks}))
+    code, out, err = run(capsys, "drcs", "eval", str(sset), "--paranoid")
+    assert code == 0, err
+    got = json.loads(out)
+    assert got["paranoid"] == "ok"
+    code, out, _ = run(capsys, "drcs", "eval", str(sset))
+    assert code == 0
+    assert got["theta"] == json.loads(out)["theta"]
+
+
 def test_pipeline_config(tmp_path, capsys):
     rect = str(tmp_path / "r.json")
     report = str(tmp_path / "v.json")
@@ -667,6 +683,23 @@ def test_bh_kron_over_order_cap(tmp_path, capsys):
     assert run(capsys, "bh", "dft", "91", "--out", seed)[0] == 0
     out_file = tmp_path / "k.json"
     code, out, err = _run_small(capsys, "bh", "kron", seed, seed, "--out", str(out_file))
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "ParamsOutOfRangeError"
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("r, other", [(5534023222112865276, 6), (4611686018427387847, 3)],
+                         ids=["int64_wrap", "overflow_error"])
+def test_bh_kron_root_order_over_int64_bound(tmp_path, capsys, r, other):
+    """A 1 x 1 table is Butson over any r. Over a root order above 2^62
+    the Kronecker exponent sums can overflow int64: one case silently
+    wrapped two exponents of the product, the other ended in a traceback."""
+    one = tmp_path / "one.json"
+    one.write_text(json.dumps({"N": 1, "r": r, "exps": [[r - 1]]}))
+    dft = str(tmp_path / "dft.json")
+    assert run(capsys, "bh", "dft", str(other), "--out", dft)[0] == 0
+    out_file = tmp_path / "k.json"
+    code, out, err = run(capsys, "bh", "kron", str(one), dft, "--out", str(out_file))
     assert code == 3 and out == ""
     assert json.loads(err)["error"] == "ParamsOutOfRangeError"
     assert not out_file.exists()

@@ -149,6 +149,18 @@ class TestKronecker:
         assert B.N == n1 * n2
         assert verify_bh(B)
 
+    def test_root_order_up_to_2_62_is_exact(self):
+        """A 1 x 1 table is Butson over any r. At r = 2^62 the largest
+        sum of rescaled exponents, (2^62 - 1) + 2^61, still fits int64;
+        root orders above it are refused before any product."""
+        top = 2 ** 62
+        B = kronecker(PhaseMatrix(1, top, [[top - 1]]), dft_matrix(2))
+        assert B.r == top
+        assert B.exps.tolist() == [[top - 1, top - 1], [top - 1, 2 ** 61 - 1]]
+        for r, other in ((5534023222112865276, 6), (4611686018427387847, 3)):
+            with pytest.raises(ParamsOutOfRangeError, match="root order"):
+                kronecker(PhaseMatrix(1, r, [[r - 1]]), dft_matrix(other))
+
 
 class TestVerify:
     def test_trivial_order(self):
