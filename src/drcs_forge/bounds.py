@@ -19,7 +19,6 @@ import math
 from collections.abc import Mapping
 
 from .errors import InfeasibleError, ParamsOutOfRangeError, json_int
-from .rectangles import family_dimensions
 
 
 def af_lower_bound(K, M, N_len, Z_y, Z_x=None):
@@ -118,6 +117,7 @@ def asymptotic_check(family, rungs):
     |1 - L/N| decreasing (L/N -> 1), rho strictly decreasing, and
     K >= 4 + c whenever the rungs carry a common truncation depth c.
     """
+    from .rectangles import family_dimensions
     if not rungs:
         raise ParamsOutOfRangeError("need at least one rung")
     rows = []

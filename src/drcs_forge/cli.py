@@ -10,24 +10,23 @@ object per failure.
 Each command is declared once, as one entry of COMMANDS: its group,
 name, help, handler and arguments; GROUPS holds the groups' helps.
 build_parser makes the parser from the two tables, and _run calls the
-parsed command's handler. A handler looks library names up in this
-module's globals when it runs and holds no function captured at import,
-so a name rebound here (a test's monkeypatch, a tracing wrapper such as
-perfbench's span recorder installs) is the one that runs.
+parsed command's handler. Importing cli loads no library layer. A
+handler imports the layer modules it runs when a command first runs it
+and looks each name up on its layer when it runs, so a name rebound
+there (a test's monkeypatch, a tracing wrapper such as perfbench's span
+recorder installs) is the one that runs.
 """
 
 import argparse
 import contextlib
 import functools
+import importlib
 import io
 import os
+import random
 import sys
 
-import numpy as np
-
-from . import ambiguity, bounds, oracles
 from ._artifacts import json_text, read_json, write_file, write_json
-from .drcs import Zone, build_drcs, export_drcs, import_drcs
 from .errors import (
     DrcsForgeError,
     InfeasibleError,
@@ -35,19 +34,6 @@ from .errors import (
     ParamsOutOfRangeError,
     ParseError,
     json_object,
-)
-from .hadamard import PhaseMatrix, dft_matrix, kronecker, load_seed, verify_bh, walsh_hadamard
-from .rectangles import (
-    Rectangle,
-    build_circular_florentine,
-    build_circular_quasi_florentine,
-    build_extended_quasi_florentine,
-    c1_witness,
-    c2_witness,
-    product_construct,
-    search_max_rows,
-    truncate_columns,
-    verify_c1,
 )
 
 
@@ -75,24 +61,25 @@ def _emit(obj, out=None):
     _write(functools.partial(write_json, obj), out)
 
 
-def _builds(make):
+def _builds(layer, make):
     """The handler of a command that writes the _fields() of the artifact
-    make(args) gives."""
+    make(module, args) gives, module being the library layer named layer."""
     def run(args):
-        _emit(make(args)._fields(), args.out)
+        _emit(make(importlib.import_module("." + layer, __package__), args)._fields(), args.out)
         return 0
     return run
 
 
 def cmd_rect_verify(args):
-    R = Rectangle.read(args.file)[0]
+    from . import rectangles
+    R = rectangles.Rectangle.read(args.file)[0]
     out = {"N": R.N, "rows": R.nrows, "cols": R.ncols, "circular": args.circular}
-    out["c1"] = verify_c1(R)
+    out["c1"] = rectangles.verify_c1(R)
     if not out["c1"]:
-        i, v = c1_witness(R)
+        i, v = rectangles.c1_witness(R)
         out["c1_witness"] = {"row": i, "symbol": v}
     else:
-        wit = c2_witness(R, circular=args.circular)
+        wit = rectangles.c2_witness(R, circular=args.circular)
         out["c2"] = wit is None
         if wit is not None:
             out["c2_witness"] = wit
@@ -101,20 +88,23 @@ def cmd_rect_verify(args):
 
 
 def cmd_rect_search(args):
-    R, cert = search_max_rows(args.N, args.n, circular=args.circular, row_cap=args.row_cap)
+    from . import rectangles
+    R, cert = rectangles.search_max_rows(args.N, args.n, circular=args.circular,
+                                         row_cap=args.row_cap)
     _emit({"rectangle": R._fields(), "certificate": cert}, args.out)
     return 0
 
 
-def _kron(args):
+def _kron(lib, args):
     if len(args.files) < 2:
         raise ParamsOutOfRangeError("kron needs at least two files")
-    return functools.reduce(kronecker, [load_seed(f) for f in args.files])
+    return functools.reduce(lib.kronecker, [lib.load_seed(f) for f in args.files])
 
 
 def cmd_bh_verify(args):
-    B = PhaseMatrix.read(args.file)[0]
-    ok = verify_bh(B)
+    from . import hadamard
+    B = hadamard.PhaseMatrix.read(args.file)[0]
+    ok = hadamard.verify_bh(B)
     _emit({"N": B.N, "r": B.r, "butson": ok}, args.out)
     return 0 if ok else 2
 
@@ -122,24 +112,24 @@ def cmd_bh_verify(args):
 def _paranoid_check(S, zone):
     """Rerun every ordered pair through both grid paths and spot-check
     single cells against the definition-literal sum."""
+    from . import ambiguity, oracles
     tol_grid = 1e-7 * S.M * S.L
     for k1 in range(S.K):
         for k2 in range(S.K):
             g_naive = ambiguity.af_grid(S.flock(k1), S.flock(k2), zone, S.r, "naive")
             g_fft = ambiguity.af_grid(S.flock(k1), S.flock(k2), zone, S.r, "fft")
-            dev = float(np.max(np.abs(g_naive.values - g_fft.values)))
+            dev = float(abs(g_naive.values - g_fft.values).max())
             if dev > tol_grid:
                 raise MismatchError(
                     "grid paths disagree on pair (%d, %d): max deviation %g"
                     % (k1, k2, dev)
                 )
-    rng = np.random.default_rng(0)
+    rng = random.Random(0)
     tol_cell = 1e-9 * S.L
     for _ in range(50):
-        k1, k2 = rng.integers(0, S.K, size=2)
-        m = int(rng.integers(0, S.M))
-        tau = int(rng.integers(-zone.Z_x + 1, zone.Z_x))
-        nu = int(rng.integers(-zone.Z_y + 1, zone.Z_y))
+        k1, k2, m = rng.randrange(S.K), rng.randrange(S.K), rng.randrange(S.M)
+        tau = rng.randrange(1 - zone.Z_x, zone.Z_x)
+        nu = rng.randrange(1 - zone.Z_y, zone.Z_y)
         fast = ambiguity.af_pair(S.flocks[k1, m], S.flocks[k2, m], S.r, tau, nu)
         slow = oracles.naive_af(S.flocks[k1, m].tolist(), S.flocks[k2, m].tolist(),
                                 S.r, tau, nu)
@@ -151,17 +141,19 @@ def _paranoid_check(S, zone):
 
 
 def cmd_drcs_build(args):
-    S = build_drcs(Rectangle.read(args.rect)[0], load_seed(args.bh))
+    from . import drcs, hadamard, rectangles
+    S = drcs.build_drcs(rectangles.Rectangle.read(args.rect)[0], hadamard.load_seed(args.bh))
     if args.out is not None:
-        export_drcs(S, args.out)
+        drcs.export_drcs(S, args.out)
     else:
         _emit(S._fields())
     return 0
 
 
 def cmd_drcs_eval(args):
-    S = import_drcs(args.set)
-    zone = Zone(*args.zone) if args.zone else S.zone
+    from . import ambiguity, bounds, drcs
+    S = drcs.import_drcs(args.set)
+    zone = drcs.Zone(*args.zone) if args.zone else S.zone
     rep = ambiguity.theta_max(S, zone, args.method)
     out = {"theta": rep.to_json()}
     if args.paranoid:
@@ -177,7 +169,8 @@ def cmd_drcs_eval(args):
 
 
 def cmd_drcs_report(args):
-    S = import_drcs(args.set)
+    from . import ambiguity, bounds, drcs
+    S = drcs.import_drcs(args.set)
     br = bounds.optimality_factor(S, ambiguity.theta_max(S))
     text = "K M L Z_x Z_y theta bound rho\n%d %d %d %d %d %.4f %.4f %.4f\n" % (
         br.K, br.M, br.N_len, br.Z_x, br.Z_y, br.theta, br.bound, br.rho)
@@ -191,7 +184,8 @@ def cmd_drcs_grid(args):
         raise ParamsOutOfRangeError("--out must end in .csv or .pgm")
     if args.matrix and out.endswith(".pgm"):
         raise ParamsOutOfRangeError("--matrix writes a .csv; a .pgm is always the heat map")
-    S = import_drcs(args.set)
+    from . import ambiguity, drcs
+    S = drcs.import_drcs(args.set)
     k1, k2 = args.pair
     if not (0 <= k1 < S.K and 0 <= k2 < S.K):
         raise ParamsOutOfRangeError("pair indices must lie in [0, %d)" % S.K)
@@ -265,30 +259,34 @@ GROUPS = {
 # group (None at the top level), name, help, handler, arguments in order
 COMMANDS = [
     ("rect", "circular-florentine", "rows (i+1)*j mod N",
-     _builds(lambda a: build_circular_florentine(a.N)), [*_ints("N"), _OUT]),
+     _builds("rectangles", lambda lib, a: lib.build_circular_florentine(a.N)),
+     [*_ints("N"), _OUT]),
     ("rect", "circular-qfr", "field-based p^n x (p^n - 1) rectangle",
-     _builds(lambda a: build_circular_quasi_florentine(a.p, a.n)), [*_ints("p", "n"), _OUT]),
+     _builds("rectangles", lambda lib, a: lib.build_circular_quasi_florentine(a.p, a.n)),
+     [*_ints("p", "n"), _OUT]),
     ("rect", "extended-qfr", "qfr plus a constant extra-symbol column",
-     _builds(lambda a: build_extended_quasi_florentine(a.p, a.n)), [*_ints("p", "n"), _OUT]),
+     _builds("rectangles", lambda lib, a: lib.build_extended_quasi_florentine(a.p, a.n)),
+     [*_ints("p", "n"), _OUT]),
     ("rect", "truncate", "drop k columns from one side",
-     _builds(lambda a: truncate_columns(Rectangle.read(a.file)[0], a.k, a.side)),
+     _builds("rectangles",
+             lambda lib, a: lib.truncate_columns(lib.Rectangle.read(a.file)[0], a.k, a.side)),
      [_arg("file"), *_ints("k"), _arg("side", choices=("left", "right")), _OUT]),
     ("rect", "product", "alphabet-product of two rectangles",
-     _builds(lambda a: product_construct(Rectangle.read(a.fileA)[0],
-                                         Rectangle.read(a.fileB)[0])),
+     _builds("rectangles", lambda lib, a: lib.product_construct(lib.Rectangle.read(a.fileA)[0],
+                                                                lib.Rectangle.read(a.fileB)[0])),
      [_arg("fileA"), _arg("fileB"), _OUT]),
     ("rect", "verify", "check C1 and C2, print witnesses", cmd_rect_verify,
      [_arg("file"), _CIRCULAR, _OUT]),
     ("rect", "search", "exhaustive max-rows search at tiny N", cmd_rect_search,
      [*_ints("N", "n"), _CIRCULAR, _arg("--row-cap", type=int, default=None), _OUT]),
     ("bh", "dft", "Fourier matrix of order N",
-     _builds(lambda a: dft_matrix(a.N)), [*_ints("N"), _OUT]),
+     _builds("hadamard", lambda lib, a: lib.dft_matrix(a.N)), [*_ints("N"), _OUT]),
     ("bh", "walsh", "Sylvester matrix of order 2^m",
-     _builds(lambda a: walsh_hadamard(a.m)), [*_ints("m"), _OUT]),
+     _builds("hadamard", lambda lib, a: lib.walsh_hadamard(a.m)), [*_ints("m"), _OUT]),
     ("bh", "kron", "Kronecker product of two or more matrices",
-     _builds(_kron), [_arg("files", nargs="+"), _OUT]),
+     _builds("hadamard", _kron), [_arg("files", nargs="+"), _OUT]),
     ("bh", "load", "load and verify a seed file",
-     _builds(lambda a: load_seed(a.file)), [_arg("file"), _OUT]),
+     _builds("hadamard", lambda lib, a: lib.load_seed(a.file)), [_arg("file"), _OUT]),
     ("bh", "verify", "check the Butson property", cmd_bh_verify, [_arg("file"), _OUT]),
     ("drcs", "build", "assemble a set from rectangle + Butson files", cmd_drcs_build,
      [_arg("rect"), _arg("bh"), _OUT]),

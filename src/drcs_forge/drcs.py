@@ -25,8 +25,6 @@ from .errors import (
     json_int_array,
     json_object,
 )
-from .hadamard import verify_bh
-from .rectangles import verify_c1, verify_c2
 
 
 class Zone:
@@ -168,6 +166,8 @@ def build_drcs(A, B):
     and cross pairs stay at magnitude 0 or N everywhere. A set of more
     than SET_CAP entries is refused before any check or allocation.
     """
+    from .hadamard import verify_bh
+    from .rectangles import verify_c1, verify_c2
     if B.N != A.N:
         raise OrderMismatchError(
             "rectangle alphabet Z_%d does not match Butson order %d" % (A.N, B.N)

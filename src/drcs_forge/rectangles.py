@@ -15,9 +15,9 @@ that cap, the C2 check's and the search's are in _limits.
 """
 
 import collections
-import importlib.resources
 import itertools
 import math
+import os
 
 import numpy as np
 
@@ -83,10 +83,9 @@ class Rectangle(Table):
 
 
 def load_fixture(name):
-    """Bundled rectangle fixtures by name, e.g. "gqfr_z8_8x6"."""
-    ref = importlib.resources.files("drcs_forge").joinpath("data/%s.json" % name)
-    with importlib.resources.as_file(ref) as path:
-        return Rectangle.read(path)[0]
+    """Bundled rectangle fixtures by name, e.g. "gqfr_z8_8x6", read from
+    the data directory beside this module."""
+    return Rectangle.read(os.path.join(os.path.dirname(__file__), "data", name + ".json"))[0]
 
 
 # --- verification ---

@@ -14,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from drcs_forge import cli, drcs
+from drcs_forge import ambiguity, cli, drcs, hadamard, rectangles
 from drcs_forge.cli import main
 from drcs_forge.hadamard import dft_matrix, walsh_hadamard
 from drcs_forge.rectangles import (
@@ -400,8 +400,8 @@ def test_grid_extension_checked_before_the_grid(tmp_path, capsys, monkeypatch, f
     def no_read(*args, **kwargs):
         raise AssertionError("the set was read before --out was checked")
 
-    monkeypatch.setattr(cli.ambiguity, "af_grid", no_grid)
-    monkeypatch.setattr(cli, "import_drcs", no_read)
+    monkeypatch.setattr(ambiguity, "af_grid", no_grid)
+    monkeypatch.setattr(drcs, "import_drcs", no_read)
     code, out, err = run(capsys, "drcs", "grid", sset, "--pair", "0", "1", *flags,
                          "--out", str(tmp_path / name))
     assert code == 3 and out == ""
@@ -707,19 +707,27 @@ def test_bh_kron_root_order_over_int64_bound(tmp_path, capsys, r, other):
 
 def test_drcs_build_over_set_cap(tmp_path, capsys, monkeypatch):
     """Both inputs pass every check, but the set would hold 1024 x 1024 x
-    1023 entries (8 GiB): refused before the C1, C2 and Butson checks."""
+    1023 entries (8 GiB): refused before the C1, C2 and Butson checks.
+    The Butson check that runs is load_seed's, on reading the table."""
     rect, bh = str(tmp_path / "r.json"), str(tmp_path / "b.json")
     assert run(capsys, "rect", "circular-qfr", "2", "10", "--out", rect)[0] == 0
     assert run(capsys, "bh", "dft", "1024", "--out", bh)[0] == 0
 
     def unreached(*args, **kwargs):
         raise AssertionError("checked before the size")
-    for name in ("verify_c1", "verify_c2", "verify_bh"):
-        monkeypatch.setattr(drcs, name, unreached)
+    for name in ("verify_c1", "verify_c2"):
+        monkeypatch.setattr(rectangles, name, unreached)
+    checked, verify_bh = [], hadamard.verify_bh
+
+    def counted(B):
+        checked.append(B)
+        return verify_bh(B)
+    monkeypatch.setattr(hadamard, "verify_bh", counted)
     out_file = tmp_path / "s.json"
     t0 = time.perf_counter()
     code, out, err = run(capsys, "drcs", "build", rect, bh, "--out", str(out_file))
     assert time.perf_counter() - t0 < 3
+    assert len(checked) == 1
     assert code == 3 and out == ""
     assert json.loads(err)["error"] == "ParamsOutOfRangeError"
     assert not out_file.exists()
@@ -744,7 +752,7 @@ def _too_deep(*args, **kwargs):
 ], ids=["_huge_array", "_no_memory", "_too_deep"])
 def test_memory_and_recursion_errors_end_without_a_traceback(tmp_path, capsys, monkeypatch,
                                                              builder, exit_code, error, prefix):
-    monkeypatch.setattr(cli, "dft_matrix", builder)
+    monkeypatch.setattr(hadamard, "dft_matrix", builder)
     code, out, err = run(capsys, "bh", "dft", "9")
     assert code == exit_code and out == ""
     payload = json.loads(err)
