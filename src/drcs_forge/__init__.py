@@ -33,3 +33,7 @@ def __getattr__(name):
     if name not in _LAYER_OF:
         raise AttributeError("module %r has no attribute %r" % (__name__, name))
     return getattr(importlib.import_module("." + _LAYER_OF[name], __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -10,21 +10,24 @@ object per failure.
 Each command is declared once, as one entry of COMMANDS: its group,
 name, help, handler and arguments; GROUPS holds the groups' helps.
 build_parser makes the parser from the two tables, and _run calls the
-parsed command's handler. Importing cli loads no library layer. A
-handler imports the layer modules it runs when a command first runs it
-and looks each name up on its layer when it runs, so a name rebound
-there (a test's monkeypatch, a tracing wrapper such as perfbench's span
-recorder installs) is the one that runs.
+parsed command's handler. Importing cli loads no library layer.
+Handlers call the library as lib.<name>: the package resolves each
+public name on its layer module at every lookup, importing the layer
+when a command first runs it, so a name rebound there (a test's
+monkeypatch, a tracing wrapper such as perfbench's span recorder
+installs) is the one that runs. A handler that needs a name outside
+the package's table imports that layer module itself.
 """
 
 import argparse
 import contextlib
 import functools
-import importlib
 import io
 import os
 import random
 import sys
+
+import drcs_forge as lib
 
 from ._artifacts import json_text, read_json, write_file, write_json
 from .errors import (
@@ -61,11 +64,11 @@ def _emit(obj, out=None):
     _write(functools.partial(write_json, obj), out)
 
 
-def _builds(layer, make):
+def _builds(make):
     """The handler of a command that writes the _fields() of the artifact
-    make(module, args) gives, module being the library layer named layer."""
+    make(args) gives."""
     def run(args):
-        _emit(make(importlib.import_module("." + layer, __package__), args)._fields(), args.out)
+        _emit(make(args)._fields(), args.out)
         return 0
     return run
 
@@ -88,23 +91,20 @@ def cmd_rect_verify(args):
 
 
 def cmd_rect_search(args):
-    from . import rectangles
-    R, cert = rectangles.search_max_rows(args.N, args.n, circular=args.circular,
-                                         row_cap=args.row_cap)
+    R, cert = lib.search_max_rows(args.N, args.n, circular=args.circular, row_cap=args.row_cap)
     _emit({"rectangle": R._fields(), "certificate": cert}, args.out)
     return 0
 
 
-def _kron(lib, args):
+def _kron(args):
     if len(args.files) < 2:
         raise ParamsOutOfRangeError("kron needs at least two files")
     return functools.reduce(lib.kronecker, [lib.load_seed(f) for f in args.files])
 
 
 def cmd_bh_verify(args):
-    from . import hadamard
-    B = hadamard.PhaseMatrix.read(args.file)[0]
-    ok = hadamard.verify_bh(B)
+    B = lib.PhaseMatrix.read(args.file)[0]
+    ok = lib.verify_bh(B)
     _emit({"N": B.N, "r": B.r, "butson": ok}, args.out)
     return 0 if ok else 2
 
@@ -141,37 +141,34 @@ def _paranoid_check(S, zone):
 
 
 def cmd_drcs_build(args):
-    from . import drcs, hadamard, rectangles
-    S = drcs.build_drcs(rectangles.Rectangle.read(args.rect)[0], hadamard.load_seed(args.bh))
+    S = lib.build_drcs(lib.Rectangle.read(args.rect)[0], lib.load_seed(args.bh))
     if args.out is not None:
-        drcs.export_drcs(S, args.out)
+        lib.export_drcs(S, args.out)
     else:
         _emit(S._fields())
     return 0
 
 
 def cmd_drcs_eval(args):
-    from . import ambiguity, bounds, drcs
-    S = drcs.import_drcs(args.set)
-    zone = drcs.Zone(*args.zone) if args.zone else S.zone
-    rep = ambiguity.theta_max(S, zone, args.method)
+    S = lib.import_drcs(args.set)
+    zone = lib.Zone(*args.zone) if args.zone else S.zone
+    rep = lib.theta_max(S, zone, args.method)
     out = {"theta": rep.to_json()}
     if args.paranoid:
         _paranoid_check(S, zone)
         out["paranoid"] = "ok"
     try:
-        out["bound"] = bounds.optimality_factor(S, rep).to_json()
+        out["bound"] = lib.optimality_factor(S, rep).to_json()
     except InfeasibleError:
-        flags = bounds.af_lower_bound(S.K, S.M, S.L, zone.Z_y, zone.Z_x)
+        flags = lib.af_lower_bound(S.K, S.M, S.L, zone.Z_y, zone.Z_x)
         out["bound"] = {"infeasible": True, "flags": flags}
     _emit(out, args.out)
     return 0
 
 
 def cmd_drcs_report(args):
-    from . import ambiguity, bounds, drcs
-    S = drcs.import_drcs(args.set)
-    br = bounds.optimality_factor(S, ambiguity.theta_max(S))
+    S = lib.import_drcs(args.set)
+    br = lib.optimality_factor(S, lib.theta_max(S))
     text = "K M L Z_x Z_y theta bound rho\n%d %d %d %d %d %.4f %.4f %.4f\n" % (
         br.K, br.M, br.N_len, br.Z_x, br.Z_y, br.theta, br.bound, br.rho)
     _write(lambda fh: fh.write(text), args.out)
@@ -259,34 +256,32 @@ GROUPS = {
 # group (None at the top level), name, help, handler, arguments in order
 COMMANDS = [
     ("rect", "circular-florentine", "rows (i+1)*j mod N",
-     _builds("rectangles", lambda lib, a: lib.build_circular_florentine(a.N)),
-     [*_ints("N"), _OUT]),
+     _builds(lambda a: lib.build_circular_florentine(a.N)), [*_ints("N"), _OUT]),
     ("rect", "circular-qfr", "field-based p^n x (p^n - 1) rectangle",
-     _builds("rectangles", lambda lib, a: lib.build_circular_quasi_florentine(a.p, a.n)),
+     _builds(lambda a: lib.build_circular_quasi_florentine(a.p, a.n)),
      [*_ints("p", "n"), _OUT]),
     ("rect", "extended-qfr", "qfr plus a constant extra-symbol column",
-     _builds("rectangles", lambda lib, a: lib.build_extended_quasi_florentine(a.p, a.n)),
+     _builds(lambda a: lib.build_extended_quasi_florentine(a.p, a.n)),
      [*_ints("p", "n"), _OUT]),
     ("rect", "truncate", "drop k columns from one side",
-     _builds("rectangles",
-             lambda lib, a: lib.truncate_columns(lib.Rectangle.read(a.file)[0], a.k, a.side)),
+     _builds(lambda a: lib.truncate_columns(lib.Rectangle.read(a.file)[0], a.k, a.side)),
      [_arg("file"), *_ints("k"), _arg("side", choices=("left", "right")), _OUT]),
     ("rect", "product", "alphabet-product of two rectangles",
-     _builds("rectangles", lambda lib, a: lib.product_construct(lib.Rectangle.read(a.fileA)[0],
-                                                                lib.Rectangle.read(a.fileB)[0])),
+     _builds(lambda a: lib.product_construct(lib.Rectangle.read(a.fileA)[0],
+                                             lib.Rectangle.read(a.fileB)[0])),
      [_arg("fileA"), _arg("fileB"), _OUT]),
     ("rect", "verify", "check C1 and C2, print witnesses", cmd_rect_verify,
      [_arg("file"), _CIRCULAR, _OUT]),
     ("rect", "search", "exhaustive max-rows search at tiny N", cmd_rect_search,
      [*_ints("N", "n"), _CIRCULAR, _arg("--row-cap", type=int, default=None), _OUT]),
     ("bh", "dft", "Fourier matrix of order N",
-     _builds("hadamard", lambda lib, a: lib.dft_matrix(a.N)), [*_ints("N"), _OUT]),
+     _builds(lambda a: lib.dft_matrix(a.N)), [*_ints("N"), _OUT]),
     ("bh", "walsh", "Sylvester matrix of order 2^m",
-     _builds("hadamard", lambda lib, a: lib.walsh_hadamard(a.m)), [*_ints("m"), _OUT]),
+     _builds(lambda a: lib.walsh_hadamard(a.m)), [*_ints("m"), _OUT]),
     ("bh", "kron", "Kronecker product of two or more matrices",
-     _builds("hadamard", _kron), [_arg("files", nargs="+"), _OUT]),
+     _builds(_kron), [_arg("files", nargs="+"), _OUT]),
     ("bh", "load", "load and verify a seed file",
-     _builds("hadamard", lambda lib, a: lib.load_seed(a.file)), [_arg("file"), _OUT]),
+     _builds(lambda a: lib.load_seed(a.file)), [_arg("file"), _OUT]),
     ("bh", "verify", "check the Butson property", cmd_bh_verify, [_arg("file"), _OUT]),
     ("drcs", "build", "assemble a set from rectangle + Butson files", cmd_drcs_build,
      [_arg("rect"), _arg("bh"), _OUT]),
