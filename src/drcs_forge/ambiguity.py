@@ -13,9 +13,11 @@ lag-product sequences of a flock pair from one L x L product and runs
 one inverse FFT over them. The reference path ("naive") reads each lag
 line off the diagonals of S[t, u] = sum_m w_r^(C1[m, t] - C2[m, u]),
 summed in m order from integer exponent differences, and takes a
-direct DFT of the lines (a matrix product with the L-th root table),
-sharing no code with the fast path; the two are cross-checked in tests
-and by the CLI --paranoid mode. af_pair evaluates one cell of two
+direct DFT of the lines (a matrix product with the L-th root table).
+The two paths share the exact root tables and the lag-line table
+(_lag_lines), but no floating-point operation: m-order sums and a
+direct DFT against a BLAS product and an FFT. They are cross-checked in
+tests and by the CLI --paranoid mode. af_pair evaluates one cell of two
 sequences as a literal sum over the two tables; --paranoid's spot cells
 compare it with oracles.naive_af.
 
@@ -87,34 +89,44 @@ class AfGrid:
         self.pair = tuple(pair) if pair is not None else None
 
     def value(self, tau, nu):
-        return complex(self.values[tau + self.zone.Z_x - 1, nu + self.zone.Z_y - 1])
+        Z_x, Z_y = self.zone.Z_x, self.zone.Z_y
+        if not (-Z_x < tau < Z_x and -Z_y < nu < Z_y):
+            raise ParamsOutOfRangeError("cell (%d, %d) is outside zone %r" % (tau, nu, self.zone))
+        return complex(self.values[tau + Z_x - 1, nu + Z_y - 1])
 
     def magnitude(self):
         return np.abs(self.values)
 
 
 @functools.lru_cache(maxsize=4)
-def _naive_tables(L, Z_x, Z_y):
-    """The arrays _grid_naive needs for one shape, built once and frozen:
-    flat[i, t] = t L + (t + tau clipped into [0, L)) is the position of
-    S[t, t + tau] in S.ravel() for tau = i - Z_x + 1, inside marks where
-    t + tau lies in [0, L), and W[t, nu] = w_L^((nu t) mod L)."""
+def _lag_lines(L, Z_x):
+    """The lag lines' positions in an L x L product P followed by one
+    zero, built once and frozen: lines[i, t] is the position of
+    P[t, t + tau] in the flat buffer for the shift tau = i - Z_x + 1,
+    and the zero's, L * L, where t + tau leaves [0, L)."""
     t = np.arange(L)
     u = t + np.arange(-Z_x + 1, Z_x)[:, None]
-    inside = (u >= 0) & (u < L)
-    flat = t * L + np.clip(u, 0, L - 1)
-    W = _roots(L)[np.outer(t, np.arange(-Z_y + 1, Z_y)) % L]
-    for a in (flat, inside, W):
-        a.setflags(write=False)
-    return flat, inside, W
+    lines = t * L + u
+    lines[(u < 0) | (u >= L)] = L * L
+    lines.setflags(write=False)
+    return lines
+
+
+@functools.lru_cache(maxsize=4)
+def _dft_table(L, Z_y):
+    """W[t, nu] = w_L^((nu t) mod L) for the zone's nu bins, frozen."""
+    W = _roots(L)[np.outer(np.arange(L), np.arange(-Z_y + 1, Z_y)) % L]
+    W.setflags(write=False)
+    return W
 
 
 def _grid_naive(C1, C2, zone, r):
-    """Direct DFT of the lag lines, independent of the fft path: the line
-    at shift tau is g(t) = sum_m w_r^(C1[m, t] - C2[m, t + tau]), zero
-    where t + tau leaves [0, L), read off the diagonals of
+    """Direct DFT of the lag lines: the line at shift tau is
+    g(t) = sum_m w_r^(C1[m, t] - C2[m, t + tau]), zero where t + tau
+    leaves [0, L), read off the diagonals of
     S[t, u] = sum_m w_r^(C1[m, t] - C2[m, u]). The grid is G @ W with
-    W[t, nu] = w_L^((nu t) mod L).
+    W[t, nu] = w_L^((nu t) mod L). It shares the root tables and the
+    lag-line table with the fft path, but no floating-point operation.
 
     Both flocks are widened to int64 and reduced mod r once, so every
     difference lies in (-r, r) and indexes the root table directly. S is
@@ -125,31 +137,15 @@ def _grid_naive(C1, C2, zone, r):
     w = _roots(r)
     C1 = C1.astype(np.int64) % r
     C2 = C2.astype(np.int64) % r
-    flat, inside, W = _naive_tables(L, zone.Z_x, zone.Z_y)
-    S = np.empty((L, L), dtype=np.complex128)
+    buf = np.zeros(L * L + 1, dtype=np.complex128)  # S, then the zero _lag_lines reads
+    S = buf[:-1].reshape(L, L)
     for t in range(L):
         S[t] = w[C1[:, t : t + 1] - C2].sum(axis=0)
-    G = np.where(inside, S.ravel().take(flat), 0)
+    G = buf.take(_lag_lines(L, zone.Z_x))
     if zone.Z_x >= L:
         for i, t, u in ((zone.Z_x - L, L - 1, 0), (zone.Z_x + L - 2, 0, L - 1)):
             G[i, t] = w[C1[:, t : t + 1] - C2[:, u : u + 1]].sum(axis=0)[0]
-    return G @ W
-
-
-@functools.lru_cache(maxsize=4)
-def _lag_gather(L, Z_x, Z_y):
-    """The index arrays of _grid_fft for one shape, built once and frozen:
-    flat[i, t] is the position of P[t, t + tau] in P.ravel() for the
-    shift tau = i - Z_x + 1 (clipped where t + tau leaves [0, L), which
-    inside marks), and nus holds the nu bins mod L."""
-    t = np.arange(L)
-    u = t + np.arange(-Z_x + 1, Z_x)[:, None]
-    inside = (u >= 0) & (u < L)
-    flat = t * L + np.clip(u, 0, L - 1)
-    nus = np.arange(-Z_y + 1, Z_y) % L
-    for a in (flat, inside, nus):
-        a.setflags(write=False)
-    return flat, inside, nus
+    return G @ _dft_table(L, zone.Z_y)
 
 
 def _grid_fft(C1, C2, zone, r):
@@ -162,11 +158,11 @@ def _grid_fft(C1, C2, zone, r):
     w = _roots(r)
     X2 = w.take(C2, mode="wrap")
     np.conjugate(X2, out=X2)
-    P = w.take(C1, mode="wrap").T @ X2
-    flat, inside, nus = _lag_gather(L, zone.Z_x, zone.Z_y)
-    g = np.fft.ifft(np.where(inside, P.ravel().take(flat), 0), axis=1)
+    buf = np.zeros(L * L + 1, dtype=np.complex128)  # P, then the zero _lag_lines reads
+    np.matmul(w.take(C1, mode="wrap").T, X2, out=buf[:-1].reshape(L, L))
+    g = np.fft.ifft(buf.take(_lag_lines(L, zone.Z_x)), axis=1)
     g *= L
-    return g.take(nus, axis=1)
+    return g.take(np.arange(-zone.Z_y + 1, zone.Z_y) % L, axis=1)
 
 
 def af_grid(C1, C2, zone, r, method="fft", pair=None):

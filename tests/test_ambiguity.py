@@ -168,29 +168,50 @@ def _edge_flocks(M, L, r):
     return rng.integers(0, r, size=(M, L)), rng.integers(0, r, size=(M, L))
 
 
+def masked_lag_lines(P, Z_x):
+    """Row i holds the diagonal P[t, t + tau] for tau = i - Z_x + 1, as a
+    masked gather: zero where t + tau leaves [0, L)."""
+    L = P.shape[0]
+    t = np.arange(L)
+    u = t + np.arange(-Z_x + 1, Z_x)[:, None]
+    inside = (u >= 0) & (u < L)
+    return np.where(inside, P.ravel()[t * L + np.clip(u, 0, L - 1)], 0)
+
+
 def literal_grid_fft(C1, C2, zone, r):
     """The fft path as first written: root gathers by C % r, a masked
     gather of the lag lines, and the ifft scaled into a new array."""
     L = C1.shape[1]
     w = ambiguity._roots(r)
     P = w[C1 % r].T @ w[C2 % r].conj()
-    t = np.arange(L)
-    u = t + np.arange(-zone.Z_x + 1, zone.Z_x)[:, None]
-    inside = (u >= 0) & (u < L)
-    g = np.where(inside, P.ravel()[t * L + np.clip(u, 0, L - 1)], 0)
+    g = masked_lag_lines(P, zone.Z_x)
     return (L * np.fft.ifft(g, axis=1))[:, np.arange(-zone.Z_y + 1, zone.Z_y) % L]
 
 
 def conj_table_grid_fft(C1, C2, zone, r):
     """The fft path with its C2 roots gathered from a conjugated copy of
-    the root table, as it was before the gather was conjugated in place."""
+    the root table, as it was before the gather was conjugated in place;
+    its lag lines and nu bins are built here, not read from the module."""
     L = C1.shape[1]
     w = ambiguity._roots(r)
     P = w.take(C1, mode="wrap").T @ w.conj().take(C2, mode="wrap")
-    flat, inside, nus = ambiguity._lag_gather(L, zone.Z_x, zone.Z_y)
-    g = np.fft.ifft(np.where(inside, P.ravel().take(flat), 0), axis=1)
+    g = np.fft.ifft(masked_lag_lines(P, zone.Z_x), axis=1)
     g *= L
-    return g.take(nus, axis=1)
+    return g.take(np.arange(-zone.Z_y + 1, zone.Z_y) % L, axis=1)
+
+
+def per_shift_grid_naive(C1, C2, zone, r):
+    """The naive grid one shift at a time: each lag line summed over m
+    in m order, as an M x (L - |tau|) sum, then a direct DFT."""
+    L = C1.shape[1]
+    w = ambiguity._roots(r)
+    G = np.zeros((2 * zone.Z_x - 1, L), dtype=np.complex128)
+    for i, tau in enumerate(range(-zone.Z_x + 1, zone.Z_x)):
+        lo, hi = max(-tau, 0), min(L, L - tau)
+        if lo < hi:
+            G[i, lo:hi] = w[(C1[:, lo:hi] - C2[:, lo + tau : hi + tau]) % r].sum(axis=0)
+    nus = np.arange(-zone.Z_y + 1, zone.Z_y)
+    return G @ ambiguity._roots(L)[np.outer(np.arange(L), nus) % L]
 
 
 @st.composite
@@ -276,17 +297,8 @@ class TestGrid:
         rng = np.random.default_rng(M * L + r)
         C1 = rng.integers(-3 * r, 3 * r, size=(M, L))
         C2 = rng.integers(-3 * r, 3 * r, size=(M, L))
-        Z = Zone(*zone)
-        w = ambiguity._roots(r)
-        G = np.zeros((2 * Z.Z_x - 1, L), dtype=np.complex128)
-        for i, tau in enumerate(range(-Z.Z_x + 1, Z.Z_x)):
-            lo, hi = max(-tau, 0), min(L, L - tau)
-            if lo < hi:
-                G[i, lo:hi] = w[(C1[:, lo:hi] - C2[:, lo + tau : hi + tau]) % r].sum(axis=0)
-        nus = np.arange(-Z.Z_y + 1, Z.Z_y)
-        want = G @ ambiguity._roots(L)[np.outer(np.arange(L), nus) % L]
-        got = af_grid(C1, C2, Z, r, method="naive").values
-        assert got.tobytes() == want.tobytes()
+        got = af_grid(C1, C2, Zone(*zone), r, method="naive").values
+        assert got.tobytes() == per_shift_grid_naive(C1, C2, Zone(*zone), r).tobytes()
 
     @pytest.mark.parametrize("block", [1, 7, 1 << 16])
     @pytest.mark.parametrize("M, L, zone, r", [
@@ -321,6 +333,19 @@ class TestGrid:
         want = G @ ambiguity._roots(L)[np.outer(np.arange(L), nus) % L]
         got = af_grid(C1, C2, Z, r, method="naive").values
         assert got.tobytes() == want.tobytes()
+
+    def test_zones_differing_in_z_y_share_one_lag_table(self):
+        """The lag-line table is keyed by (L, Z_x) alone: both paths over
+        two zones that differ only in Z_y build it once, and every grid
+        keeps the per-shift and literal references' bits."""
+        C1, C2 = _edge_flocks(3, 8, 5)
+        ambiguity._lag_lines.cache_clear()
+        for zone in (Zone(8, 3), Zone(8, 8)):
+            naive = af_grid(C1, C2, zone, 5, method="naive").values
+            assert naive.tobytes() == per_shift_grid_naive(C1, C2, zone, 5).tobytes()
+            fft = af_grid(C1, C2, zone, 5, method="fft").values
+            assert fft.tobytes() == literal_grid_fft(C1, C2, zone, 5).tobytes()
+        assert ambiguity._lag_lines.cache_info().misses == 1
 
     @EDGE_SHAPES
     def test_default_method_is_fft(self, M, L, zone, r):
@@ -357,6 +382,11 @@ class TestGrid:
                 assert g.value(tau, nu) == pytest.approx(
                     naive_flock_af(C.tolist(), C.tolist(), 2, tau, nu)
                 )
+        # one step past each edge of the zone, on both axes and both signs:
+        # refused, not wrapped round to the other edge or an IndexError
+        for tau, nu in ((-2, 0), (2, 0), (0, -2), (0, 2), (-2, 2), (5, -5)):
+            with pytest.raises(ParamsOutOfRangeError):
+                g.value(tau, nu)
 
     def test_magnitude(self):
         C = np.array([[0, 1]])
